@@ -35,7 +35,6 @@ __all__ = [
     "CausalSet",
     "ActionReport",
     "from_relations",
-    "from_coords_and_matrix",
     "load_causal_set",
     "interval_size",
     "layer",
@@ -64,11 +63,10 @@ class CausalSet:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("relation matrix must be square")
         if matrix.diagonal().any():
-            raise ValueError("relation must be irreflexive")
+            raise ValueError("relation has a cycle (some a < a): not a poset")
         if (matrix & matrix.T).any():
-            raise ValueError("relation must be antisymmetric: not a poset")
-        two_step = (matrix.astype(np.int32) @ matrix.astype(np.int32)) > 0
-        if (two_step & ~matrix).any():
+            raise ValueError("relation has a cycle (some a < b < a): not a poset")
+        if ((_interiors(matrix) > 0) & ~matrix).any():
             raise ValueError("relation must be transitively closed")
         matrix.setflags(write=False)
         object.__setattr__(self, "precedes", matrix)
@@ -119,38 +117,53 @@ class ActionReport:
         )
 
 
-def _transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    closure = matrix.copy()
-    while True:
-        two_step = (closure.astype(np.int32) @ closure.astype(np.int32)) > 0
-        extended = closure | two_step
-        if (extended == closure).all():
-            return closure
-        closure = extended
+def _interiors(precedes: np.ndarray) -> np.ndarray:
+    """``B = P @ P``: on a closed order, ``B[a, b]`` counts the elements
+    strictly between ``a < b``.  float64 counts are exact up to 2**53."""
+    as_float = precedes.astype(np.float64)
+    return as_float @ as_float
+
+
+def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The predecessors ``y < x`` in increasing order, and for each the
+    number of elements strictly between it and ``x``."""
+    below = np.flatnonzero(causal_set.precedes[:, x])
+    return below, causal_set.precedes[np.ix_(below, below)].sum(axis=1)
+
+
+def _check_integers(values: list, what: str) -> None:
+    # bools are refused too: numpy reads a bool index as a mask
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, not {kind.__name__}")
 
 
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:
     """Build a causal set from any generating set of relations.
 
-    Transitive closure is applied; a cycle (including ``a < a``) makes
-    the input not a poset and raises ``ValueError``.
+    Transitive closure is applied; a cycle (including ``a < a``), a
+    relation that is not a pair of integers, or a non-integer element
+    count raises ``ValueError``.
     """
+    _check_integers([n_elements], "element count")
     if n_elements < 0:
         raise ValueError("element count must be >= 0")
-    matrix = np.zeros((n_elements, n_elements), dtype=bool)
-    for a, b in pairs:
-        if not (0 <= a < n_elements and 0 <= b < n_elements):
-            raise ValueError(f"relation ({a}, {b}) out of range 0..{n_elements - 1}")
-        matrix[a, b] = True
-    closure = _transitive_closure(matrix)
-    if closure.diagonal().any() or (closure & closure.T).any():
-        raise ValueError("relations contain a cycle: not a poset")
+    ends: list = []
+    try:
+        for a, b in pairs:
+            ends += (a, b)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("each relation must be a pair [a, b]") from exc
+    _check_integers(ends, "each relation end")
+    if ends and not 0 <= min(ends) <= max(ends) < n_elements:
+        a, b = next(p for p in zip(ends[::2], ends[1::2])
+                    if not 0 <= min(p) <= max(p) < n_elements)
+        raise ValueError(f"relation ({a}, {b}) out of range 0..{n_elements - 1}")
+    closure = np.zeros((n_elements, n_elements), dtype=bool)
+    closure[ends[::2], ends[1::2]] = True
+    while (reached := (_interiors(closure) > 0) & ~closure).any():
+        closure |= reached
     return CausalSet(precedes=closure)
-
-
-def from_coords_and_matrix(coords: np.ndarray, precedes: np.ndarray) -> CausalSet:
-    """Causal set with coordinates attached (used by sprinkling)."""
-    return CausalSet(precedes=precedes, coords=coords)
 
 
 def load_causal_set(source: str | Path | dict) -> CausalSet:
@@ -165,7 +178,7 @@ def load_causal_set(source: str | Path | dict) -> CausalSet:
         relations = data["relations"]
     except (TypeError, KeyError) as exc:
         raise ValueError("causal set input needs keys 'n' and 'relations'") from exc
-    return from_relations(n_elements, [tuple(pair) for pair in relations])
+    return from_relations(n_elements, relations)
 
 
 def interval_size(causal_set: CausalSet, a: int, b: int) -> int:
@@ -182,23 +195,17 @@ def layer(causal_set: CausalSet, x: int, i: int) -> frozenset[int]:
     """The i-th layer below ``x``: predecessors at closed-interval size i+1."""
     if i < 1:
         raise ValueError(f"layer index must be >= 1, got {i}")
-    predecessors = np.flatnonzero(causal_set.precedes[:, x])
-    return frozenset(
-        int(y) for y in predecessors if interval_size(causal_set, int(y), x) == i + 1
-    )
+    below, between = _past(causal_set, x)
+    return frozenset(below[between == i - 1].tolist())
 
 
 def layer_sums(
     causal_set: CausalSet, x: int, field: np.ndarray, max_layer: int
 ) -> np.ndarray:
     """Sum of the field over each layer ``L_1(x) .. L_max_layer(x)``."""
-    sums = np.zeros(max_layer)
-    to_x = causal_set.precedes[:, x]
-    for y in np.flatnonzero(to_x):
-        between = np.count_nonzero(causal_set.precedes[y] & to_x)
-        if between < max_layer:  # layer index is between + 1
-            sums[between] += field[y]
-    return sums
+    below, between = _past(causal_set, x)  # layer index is between + 1
+    sums = np.bincount(between, weights=np.asarray(field)[below], minlength=max_layer)
+    return sums[:max_layer].astype(float, copy=False)  # an empty past counts as ints
 
 
 def _as_field(values: Sequence[float] | np.ndarray, n_elements: int) -> np.ndarray:
@@ -209,6 +216,14 @@ def _as_field(values: Sequence[float] | np.ndarray, n_elements: int) -> np.ndarr
             f"got shape {field.shape}"
         )
     return field
+
+
+def _weighted(dimension: int, values: Sequence[float]) -> float:
+    """``sum_i C_i * values[i - 1]``, one value per layer of ``dimension``."""
+    return sum(
+        float(layer_coefficient(dimension, i)) * value
+        for i, value in enumerate(values, start=1)
+    )
 
 
 def box_operator(
@@ -223,11 +238,7 @@ def box_operator(
         raise ValueError("length scale must be positive")
     values = _as_field(field, causal_set.size)
     constants = operator_constants(dimension)
-    top = num_layers(dimension)
-    sums = layer_sums(causal_set, x, values, top)
-    weighted = sum(
-        float(layer_coefficient(dimension, i)) * sums[i - 1] for i in range(1, top + 1)
-    )
+    weighted = _weighted(dimension, layer_sums(causal_set, x, values, num_layers(dimension)))
     return (constants.alpha * values[x] + constants.beta * weighted) / length_scale**2
 
 
@@ -237,13 +248,8 @@ def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     if max_i < 1:
         raise ValueError(f"max_i must be >= 1, got {max_i}")
     relation = causal_set.precedes
-    between = relation.astype(np.int64) @ relation.astype(np.int64)
-    counts = [0] * max_i
-    for a, b in zip(*np.nonzero(relation)):
-        i = between[a, b] + 1  # interval size is between + 2
-        if i <= max_i:
-            counts[i - 1] += 1
-    return tuple(counts)
+    between = _interiors(relation)[relation].astype(np.int64)  # N_i counts between == i - 1
+    return tuple(np.bincount(between, minlength=max_i)[:max_i].tolist())
 
 
 def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: float) -> ActionReport:
@@ -256,19 +262,12 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     if length_scale <= 0:
         raise ValueError("length scale must be positive")
     constants = operator_constants(dimension)
-    top = num_layers(dimension)
-    abundances = (
-        interval_abundances(causal_set, top) if causal_set.size else (0,) * top
-    )
+    abundances = interval_abundances(causal_set, num_layers(dimension))
     beta_over_alpha = float(1 / alpha_over_beta(dimension))
-    weighted = sum(
-        float(layer_coefficient(dimension, i)) * abundances[i - 1]
-        for i in range(1, top + 1)
-    )
     action = (
         -constants.alpha
         * length_scale ** (dimension - 2)
-        * (causal_set.size + beta_over_alpha * weighted)
+        * (causal_set.size + beta_over_alpha * _weighted(dimension, abundances))
     )
     return ActionReport(
         dimension=dimension,

@@ -265,20 +265,23 @@ def operator_constants(dimension: int) -> OperatorConstants:
     """
     _check_dimension(dimension)
     d = dimension
-    c_d = sphere_surface_area(d - 2) / (d * (d - 1) * 2.0 ** (d / 2 - 1))
-    c_pow = c_d ** (2.0 / d)
-    if d % 2 == 0:
-        alpha = -2.0 * c_pow / math.gamma((d + 2) / d)
-        beta = (
-            2.0
-            * math.gamma(d / 2 + 2)
-            * math.gamma(d / 2 + 1)
-            / (math.gamma(2 / d) * math.gamma(d))
-            * c_pow
-        )
-    else:
-        alpha = -c_pow / math.gamma((d + 2) / d)
-        beta = (d + 1) / (2 ** (d - 1) * math.gamma(2 / d + 1)) * c_pow
+    try:
+        c_d = sphere_surface_area(d - 2) / (d * (d - 1) * 2.0 ** (d / 2 - 1))
+        c_pow = c_d ** (2.0 / d)
+        if d % 2 == 0:
+            alpha = -2.0 * c_pow / math.gamma((d + 2) / d)
+            beta = (
+                2.0
+                * math.gamma(d / 2 + 2)
+                * math.gamma(d / 2 + 1)
+                / (math.gamma(2 / d) * math.gamma(d))
+                * c_pow
+            )
+        else:
+            alpha = -c_pow / math.gamma((d + 2) / d)
+            beta = (d + 1) / (2 ** (d - 1) * math.gamma(2 / d + 1)) * c_pow
+    except OverflowError as exc:
+        raise ValueError(f"operator constants overflow a float in dimension {d}") from exc
     return OperatorConstants(
         dimension=d,
         alpha=alpha,

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .coefficients import scaled_coefficient
+from .coefficients import _check_dimension, _check_index, scaled_coefficient
 
 __all__ = [
     "BLACK",
@@ -385,10 +385,8 @@ def restricted_class_parameters(dimension: int, index: int) -> tuple[int, int, i
     """The ``(n_chords, n_points, gap_bound, place_bound)`` tuple whose
     restricted count the scaled coefficient at ``(dimension, index)``
     is compared against."""
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-    if not 1 <= index <= dimension // 2 + 2:
-        raise ValueError(f"layer index out of range: {index}")
+    _check_dimension(dimension)
+    _check_index(dimension, index)
     half = dimension // 2
     n_chords = half + 1
     n_points = 2 * half + 2 + dimension * (index - 1)

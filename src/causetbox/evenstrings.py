@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .coefficients import layer_coefficient
+from .coefficients import _check_index, layer_coefficient
 from .diagrams import ChordDiagram, FeasibilityError, enumerate_diagrams
 
 __all__ = [
@@ -82,14 +82,6 @@ def fiber_sizes(n_chords: int, half_points: int) -> dict[str, int]:
 def _check_even_dimension(dimension: int) -> None:
     if dimension < 2 or dimension % 2 != 0:
         raise ValueError(f"dimension must be an even integer >= 2, got {dimension}")
-
-
-def _check_index(dimension: int, index: int) -> None:
-    top = dimension // 2 + 2
-    if not 1 <= index <= top:
-        raise ValueError(
-            f"index must be in 1..{top} for dimension {dimension}, got {index}"
-        )
 
 
 def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import CausalSet, box_operator, from_coords_and_matrix
+from .causet import CausalSet, box_operator
 
 __all__ = [
     "DiamondConfig",
@@ -112,8 +112,14 @@ def diamond_volume(dimension: int, half_height: float) -> float:
     if half_height < 0:
         raise ValueError(f"half height must be >= 0, got {half_height}")
     d = dimension
-    unit_ball = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
-    return 2.0 * unit_ball * half_height**d / d
+    try:
+        unit_ball = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
+        volume = 2.0 * unit_ball * half_height**d / d
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise ValueError(f"diamond volume overflows a float in dimension {d}")
+    return volume
 
 
 def causal_matrix(coords: np.ndarray) -> np.ndarray:
@@ -171,7 +177,7 @@ def _sprinkle_with_rng(config: DiamondConfig, rng: np.random.Generator) -> Sprin
     tip = np.zeros((1, config.dimension))
     tip[0, 0] = config.half_height
     coords = np.concatenate([points, tip], axis=0)
-    causal_set = from_coords_and_matrix(coords, causal_matrix(coords))
+    causal_set = CausalSet(precedes=causal_matrix(coords), coords=coords)
     return SprinkleResult(causal_set=causal_set, eval_index=count)
 
 

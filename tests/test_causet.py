@@ -13,6 +13,7 @@ from causetbox.causet import (
     interval_abundances,
     interval_size,
     layer,
+    layer_sums,
     load_causal_set,
 )
 
@@ -36,6 +37,87 @@ def random_causal_sets(draw):
     return from_relations(n, pairs)
 
 
+# Plain-loop references: the per-pair and per-predecessor loops the
+# matrix-product kernel replaced, kept as the oracle it must match exactly.
+
+
+def reference_closure(matrix):
+    closure = matrix.copy()
+    while True:
+        two_step = (closure.astype(np.int32) @ closure.astype(np.int32)) > 0
+        extended = closure | two_step
+        if (extended == closure).all():
+            return closure
+        closure = extended
+
+
+def reference_layer(causal_set, x, i):
+    predecessors = np.flatnonzero(causal_set.precedes[:, x])
+    return frozenset(
+        int(y) for y in predecessors if interval_size(causal_set, int(y), x) == i + 1
+    )
+
+
+def reference_layer_sums(causal_set, x, field, max_layer):
+    sums = np.zeros(max_layer)
+    to_x = causal_set.precedes[:, x]
+    for y in np.flatnonzero(to_x):
+        between = np.count_nonzero(causal_set.precedes[y] & to_x)
+        if between < max_layer:
+            sums[between] += field[y]
+    return sums
+
+
+def reference_abundances(causal_set, max_i):
+    counts = [0] * max_i
+    for a, b in zip(*np.nonzero(causal_set.precedes)):
+        i = interval_size(causal_set, int(a), int(b)) - 1
+        if i <= max_i:
+            counts[i - 1] += 1
+    return tuple(counts)
+
+
+def links(causal_set):
+    """The covering pairs: related pairs with nothing between them."""
+    n = causal_set.size
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if causal_set.precedes[a, b] and interval_size(causal_set, a, b) == 2
+    ]
+
+
+class TestMatchesReferenceLoops:
+    @given(random_causal_sets(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_equality(self, causal_set, seed):
+        n = causal_set.size
+        covering = links(causal_set)
+        generated = np.zeros((n, n), dtype=bool)
+        for a, b in covering:
+            generated[a, b] = True
+        assert (reference_closure(generated) == causal_set.precedes).all()
+        assert (from_relations(n, covering).precedes == causal_set.precedes).all()
+        field = np.random.default_rng(seed).normal(size=n)
+        for x in range(n):
+            for i in range(1, n + 2):
+                assert layer(causal_set, x, i) == reference_layer(causal_set, x, i)
+            for max_layer in (0, 1, 3, n + 1):
+                got = layer_sums(causal_set, x, field, max_layer)
+                want = reference_layer_sums(causal_set, x, field, max_layer)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        for max_i in (1, 3, n + 1):
+            assert interval_abundances(causal_set, max_i) == reference_abundances(
+                causal_set, max_i
+            )
+
+    def test_layer_sums_stay_float_on_an_empty_past(self):
+        sums = layer_sums(chain(3), 0, np.arange(3), 3)
+        assert sums.dtype == np.float64 and sums.tolist() == [0.0, 0.0, 0.0]
+
+
 class TestConstruction:
     def test_closure_is_applied(self):
         causal_set = chain(3)
@@ -49,6 +131,44 @@ class TestConstruction:
             from_relations(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             from_relations(3, [(0, 1), (1, 2), (2, 0)])
+
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 0)], [(0, 1), (1, 0)], [(0, 1), (1, 2), (2, 0)]]
+    )
+    def test_cycle_message_names_the_cycle(self, pairs):
+        with pytest.raises(ValueError, match="cycle"):
+            from_relations(3, pairs)
+
+    def test_numpy_integer_pairs_accepted(self):
+        pairs = np.argwhere(diamond().precedes)
+        assert (from_relations(np.int64(4), pairs).precedes == diamond().precedes).all()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "3", "relations": [[0, 1]]},
+            {"n": 2.5, "relations": [[0, 1]]},
+            {"n": True, "relations": []},
+            {"n": 3, "relations": [[0.0, 1]]},
+            {"n": 3, "relations": [[False, 1]]},
+            {"n": 3, "relations": [[True, 0]]},
+            {"n": 3, "relations": [["0", 1]]},
+            {"n": 3, "relations": [[None, 1]]},
+            {"n": 3, "relations": [[0]]},
+            {"n": 3, "relations": [[0, 1, 2]]},
+            {"n": 3, "relations": [5]},
+            {"n": 3, "relations": 5},
+            {"n": 3, "relations": [[10**30, 1]]},
+            {"n": 3, "relations": [[0, -1]]},
+            ["n", "relations"],
+        ],
+    )
+    def test_malformed_input_rejected(self, payload):
+        with pytest.raises(ValueError):
+            load_causal_set(payload)
+        if isinstance(payload, dict):
+            with pytest.raises(ValueError):
+                from_relations(payload["n"], payload["relations"])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

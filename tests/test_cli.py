@@ -163,6 +163,34 @@ class TestAction:
         code, _ = invoke(["action", "--input", str(path), "--dim", "2", "--ell", "1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "3", "relations": [[0, 1]]},
+            {"n": 2.5, "relations": [[0, 1]]},
+            {"n": 3, "relations": [[0.0, 1]]},
+            {"n": 3, "relations": [[False, 1]]},
+            {"n": 3, "relations": [[True, 0]]},
+            {"n": 3, "relations": [[0, 1, 2]]},
+            {"n": 3, "relations": 7},
+        ],
+    )
+    def test_malformed_json_exit_2_without_traceback(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors):
+            code, _ = invoke(["action", "--input", str(path), "--dim", "2", "--ell", "1"])
+        assert code == EXIT_USAGE
+        assert errors.getvalue().startswith("error: ")
+        assert "Traceback" not in errors.getvalue()
+
+    def test_overflowing_dimension_exit_2(self, tmp_path):
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(DIAMOND_JSON))
+        code, _ = invoke(["action", "--input", str(path), "--dim", "400", "--ell", "1"])
+        assert code == EXIT_USAGE
+
 
 class TestSprinkle:
     def test_deterministic_json(self):
@@ -199,6 +227,10 @@ class TestSprinkle:
 
     def test_neither_density_nor_ell_exit_2(self):
         code, _ = invoke(["sprinkle", "--dim", "2", "--trials", "1"])
+        assert code == EXIT_USAGE
+
+    def test_overflowing_dimension_exit_2(self):
+        code, _ = invoke(["sprinkle", "--dim", "400", "--density", "10", "--trials", "1"])
         assert code == EXIT_USAGE
 
     def test_unknown_field_spec_exit_2(self):

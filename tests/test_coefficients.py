@@ -184,6 +184,11 @@ class TestOperatorConstants:
             constants.alpha / constants.beta - float(alpha_over_beta(d))
         ) < 1e-10
 
+    @pytest.mark.parametrize("d", [172, 400, 2000])
+    def test_overflow_is_a_value_error(self, d):
+        with pytest.raises(ValueError, match="overflow"):
+            operator_constants(d)
+
     def test_sphere_areas(self):
         assert sphere_surface_area(0) == pytest.approx(2.0)
         assert sphere_surface_area(1) == pytest.approx(2 * math.pi)

@@ -29,6 +29,13 @@ class TestDiamondVolume:
     def test_shrinks_to_zero(self):
         assert diamond_volume(3, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "d, half_height", [(400, 1.0), (2000, 1.0), (40, 1e10), (6, 2e51)]
+    )
+    def test_overflow_is_a_value_error(self, d, half_height):
+        with pytest.raises(ValueError, match="overflow"):
+            diamond_volume(d, half_height)
+
     def test_scaling_law(self):
         for d in (2, 3, 4):
             assert diamond_volume(d, 2.0) == pytest.approx(
@@ -177,3 +184,17 @@ class TestEstimateBox:
         config = DiamondConfig(dimension=2, density=10.0, half_height=1.0, seed=1)
         with pytest.raises(ValueError):
             estimate_box(config, ConstantField(1.0), 0)
+
+    @pytest.mark.parametrize(
+        "config, spec, trials, expected",
+        [
+            # the README example
+            (DiamondConfig(2, 20.0, 1.0, 7), ConstantField(1.0), 50,
+             (20.8, 55.168639420509585)),
+            (DiamondConfig(4, 50.0, 1.0, 3), MonomialField((2,)), 20,
+             (0.8311311430330814, 6.918803664932067)),
+        ],
+    )
+    def test_pinned_values(self, config, spec, trials, expected):
+        # Bit-identical to the per-predecessor loop implementation.
+        assert estimate_box(config, spec, trials) == expected

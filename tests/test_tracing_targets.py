@@ -1,0 +1,34 @@
+"""The benchmark's tracer must find every function it wraps.
+
+``bench/tracing.py`` times and counts calls by module attribute name and
+binds some arguments by parameter name; a rename would silently turn a
+per-layer metric into 0 ms.  Building the tracer, without installing it,
+resolves every target.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+from causetbox import causet
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    tracer = load_tracing().Tracer()
+    assert tracer.missing == []
+    assert tracer.patches
+
+
+def test_counter_arguments_keep_their_names():
+    assert "pairs" in inspect.signature(causet.from_relations).parameters
+    box = inspect.signature(causet.box_operator).parameters
+    assert "causal_set" in box and "x" in box
