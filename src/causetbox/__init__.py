@@ -39,7 +39,14 @@ from .diagrams import (
 from .genseries import BivariateSeries, diagram_series
 from .causet import CausalSet, gravitational_action, box_operator, from_relations
 from .evenstrings import count_constrained_paths, count_constrained_strings
-from .sprinkling import DiamondConfig, estimate_box, sprinkle
+from .sprinkling import (
+    ConstantField,
+    DiamondConfig,
+    MonomialField,
+    TableField,
+    estimate_box,
+    sprinkle,
+)
 
 __version__ = "0.1.0"
 
@@ -67,7 +74,10 @@ __all__ = [
     "from_relations",
     "count_constrained_paths",
     "count_constrained_strings",
+    "ConstantField",
     "DiamondConfig",
+    "MonomialField",
+    "TableField",
     "estimate_box",
     "sprinkle",
     "__version__",

@@ -249,7 +249,9 @@ class OperatorConstants:
             raise ValueError(f"alpha must be negative, got {self.alpha}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if abs(self.alpha / self.beta - float(self.alpha_over_beta_exact)) >= 1e-10:
+        if not math.isclose(
+            self.alpha / self.beta, float(self.alpha_over_beta_exact), rel_tol=1e-10
+        ):
             raise ValueError(
                 "floating alpha/beta disagrees with the exact ratio: "
                 f"{self.alpha / self.beta} vs {self.alpha_over_beta_exact}"

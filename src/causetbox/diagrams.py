@@ -47,8 +47,6 @@ __all__ = [
     "first_end_profile",
     "is_in_restricted_class",
     "count_restricted",
-    "count_up_to_color_swap",
-    "swap_red_blue",
     "restricted_class_parameters",
     "verify_coefficient_count",
     "verify_cancellation",
@@ -345,40 +343,6 @@ def count_restricted(
         for diagram in enumerate_diagrams(n_chords, n_points)
         if is_in_restricted_class(diagram, gap_bound, place_bound)
     )
-
-
-def swap_red_blue(diagram: ChordDiagram) -> ChordDiagram:
-    """The diagram with every red chord turned blue and vice versa."""
-    swapped = tuple(
-        sorted(
-            Chord(
-                c.low,
-                c.high,
-                {RED: BLUE, BLUE: RED}.get(c.color, c.color),
-                c.first_end,
-            )
-            for c in diagram.chords
-        )
-    )
-    return ChordDiagram(points=diagram.points, chords=swapped)
-
-
-def count_up_to_color_swap(
-    n_chords: int, n_points: int, gap_bound: int, place_bound: int
-) -> int:
-    """Restricted-class size counting red/blue-swapped pairs once.
-
-    For any diagram with at least one chord the swap has no fixed
-    points (some chord is red or blue and changes), so this halves
-    :func:`count_restricted`; the chordless diagram is its own swap and
-    counts once.
-    """
-    orbit_representatives = {
-        min(diagram, swap_red_blue(diagram))
-        for diagram in enumerate_diagrams(n_chords, n_points)
-        if is_in_restricted_class(diagram, gap_bound, place_bound)
-    }
-    return len(orbit_representatives)
 
 
 def restricted_class_parameters(dimension: int, index: int) -> tuple[int, int, int, int]:

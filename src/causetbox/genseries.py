@@ -9,8 +9,9 @@ the closed-form generating function
 
 where ``x`` marks chords and ``y`` marks points.  This module expands
 that closed form on an all-integer path — the inverse square root via
-central binomial coefficients, the denominator via its geometric
-series — and provides the two closed-form coefficient extractions.
+central binomial coefficients, the division by ``1 - y**2 * (1 + 4x)``
+as a three-term recurrence on the coefficients — and provides the two
+closed-form coefficient extractions.
 """
 
 from __future__ import annotations
@@ -24,27 +25,6 @@ __all__ = [
     "closed_coeff_even",
     "closed_coeff_odd",
 ]
-
-_Table = list[list[int]]
-
-
-def _zero_table(max_x: int, max_y: int) -> _Table:
-    return [[0] * (max_y + 1) for _ in range(max_x + 1)]
-
-
-def _multiply(a: _Table, b: _Table, max_x: int, max_y: int) -> _Table:
-    out = _zero_table(max_x, max_y)
-    for i, row in enumerate(a):
-        for j, coeff in enumerate(row):
-            if coeff == 0:
-                continue
-            for k in range(max_x - i + 1):
-                b_row = b[k]
-                out_row = out[i + k]
-                for l in range(max_y - j + 1):
-                    if b_row[l]:
-                        out_row[j + l] += coeff * b_row[l]
-    return out
 
 
 @dataclass(frozen=True)
@@ -68,42 +48,29 @@ class BivariateSeries:
 def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
     """Expand the diagram generating function up to x**max_x * y**max_y.
 
-    The inverse square root is expanded as
-    ``sum_n binom(2n, n) * (x*y**2)**n`` and the denominator as the
-    geometric series in ``y**2 * (1 + 4x)``; both are exact integer
-    operations, so no rational arithmetic is needed.
+    With ``N`` the numerator and ``q = y**2 * (1 + 4x)``, the series
+    ``F = N / (1 - q)`` satisfies ``F = N + q * F``, which in
+    coefficients is the all-integer recurrence
+
+        F[n][m] = N[n][m] + F[n][m-2] + 4 * F[n-1][m-2]
+
+    filled in increasing ``n`` and ``m``.  The numerator's inverse
+    square root contributes ``binom(2n, n)`` at ``x**n * y**(2n+1)``.
     """
     if max_x < 0 or max_y < 0:
         raise ValueError("truncation orders must be >= 0")
-
-    # y * sum_n binom(2n, n) * x**n * y**(2n)
-    numerator = _zero_table(max_x, max_y)
+    table: list[list[int]] = []
+    below = [0] * (max_y + 1)  # row n-1 of F; zero for n = 0
     for n in range(max_x + 1):
+        row = [0] * (max_y + 1)
         if 2 * n + 1 <= max_y:
-            numerator[n][2 * n + 1] = math.comb(2 * n, n)
-
-    # q = y**2 * (1 + 4x); numerator += q
-    q = _zero_table(max_x, max_y)
-    if max_y >= 2:
-        q[0][2] = 1
-        if max_x >= 1:
-            q[1][2] = 4
-        numerator[0][2] += 1
-        if max_x >= 1:
-            numerator[1][2] += 4
-
-    # 1 / (1 - q) = sum_k q**k; q has y-order 2, so k <= max_y // 2.
-    geometric = _zero_table(max_x, max_y)
-    geometric[0][0] = 1
-    power = _zero_table(max_x, max_y)
-    power[0][0] = 1
-    for _ in range(max_y // 2):
-        power = _multiply(power, q, max_x, max_y)
-        for i in range(max_x + 1):
-            for j in range(max_y + 1):
-                geometric[i][j] += power[i][j]
-
-    table = _multiply(numerator, geometric, max_x, max_y)
+            row[2 * n + 1] = math.comb(2 * n, n)  # y * (x*y**2)**n term
+        if n <= 1 and max_y >= 2:
+            row[2] += 4**n  # the numerator's y**2 * (1 + 4x) term
+        for m in range(2, max_y + 1):
+            row[m] += row[m - 2] + 4 * below[m - 2]
+        table.append(row)
+        below = row
     return BivariateSeries(
         max_x=max_x,
         max_y=max_y,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .causet import CausalSet, box_operator
+from .coefficients import _check_dimension
 
 __all__ = [
     "DiamondConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "causal_matrix",
     "boost_coords",
     "sprinkle",
-    "field_eval",
     "field_values",
     "parse_field_spec",
     "estimate_box",
@@ -54,8 +53,7 @@ class DiamondConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
+        _check_dimension(self.dimension)
         if not self.density > 0:
             raise ValueError(f"density must be positive, got {self.density}")
         if not self.half_height > 0:
@@ -75,17 +73,13 @@ class SprinkleResult:
     eval_index: int
 
 
-class FieldSpec:
-    """Marker base class for scalar-field specifications."""
-
-
 @dataclass(frozen=True)
-class ConstantField(FieldSpec):
+class ConstantField:
     value: float
 
 
 @dataclass(frozen=True)
-class MonomialField(FieldSpec):
+class MonomialField:
     """Product of coordinate powers; ``exponents`` is per coordinate,
     time first, e.g. ``(2,)`` padded as needed means t**2."""
 
@@ -93,11 +87,14 @@ class MonomialField(FieldSpec):
 
 
 @dataclass(frozen=True)
-class TableField(FieldSpec):
+class TableField:
     """Explicit per-element values; only usable when the element count
     matches the table length."""
 
     values: tuple[float, ...]
+
+
+FieldSpec = ConstantField | MonomialField | TableField
 
 
 def diamond_volume(dimension: int, half_height: float) -> float:
@@ -107,8 +104,7 @@ def diamond_volume(dimension: int, half_height: float) -> float:
     (d-1)-ball volume ``pi**((d-1)/2) / gamma((d+1)/2)``.  For d = 2
     this is ``2 * T**2``.
     """
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    _check_dimension(dimension)
     if half_height < 0:
         raise ValueError(f"half height must be >= 0, got {half_height}")
     d = dimension
@@ -187,27 +183,15 @@ def sprinkle(config: DiamondConfig) -> SprinkleResult:
     return _sprinkle_with_rng(config, rng)
 
 
-def field_eval(spec: FieldSpec, coords: Sequence[float]) -> float:
-    """Evaluate a constant or monomial field at one coordinate point."""
-    if isinstance(spec, ConstantField):
-        return float(spec.value)
-    if isinstance(spec, MonomialField):
-        point = np.asarray(coords, dtype=float)
-        if len(spec.exponents) > point.shape[0]:
-            raise ValueError(
-                f"monomial uses {len(spec.exponents)} coordinates but the "
-                f"point has {point.shape[0]}"
-            )
-        return float(
-            np.prod([point[k] ** e for k, e in enumerate(spec.exponents)])
-        )
-    if isinstance(spec, TableField):
-        raise ValueError("table fields are per-element; use field_values")
-    raise ValueError(f"unknown field spec: {spec!r}")
-
-
 def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
-    """Per-element field values on a causal set with coordinates."""
+    """Per-element field values; monomials need coordinates.
+
+    A monomial multiplies numpy scalar powers left to right, row by row:
+    whole-column array powers can round differently in the last bit, and
+    Python float powers raise where numpy gives ``inf`` (``0.0 ** -1``).
+    """
+    if isinstance(spec, ConstantField):
+        return np.full(causal_set.size, float(spec.value))
     if isinstance(spec, TableField):
         if len(spec.values) != causal_set.size:
             raise ValueError(
@@ -216,10 +200,17 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
             )
         return np.asarray(spec.values, dtype=float)
     if causal_set.coords is None:
-        if isinstance(spec, ConstantField):
-            return np.full(causal_set.size, float(spec.value))
         raise ValueError("coordinate fields need a causal set with coordinates")
-    return np.array([field_eval(spec, row) for row in causal_set.coords])
+    exponents = spec.exponents
+    width = causal_set.coords.shape[1]
+    if len(exponents) > width:
+        raise ValueError(
+            f"monomial uses {len(exponents)} coordinates but the point has {width}"
+        )
+    rows = causal_set.coords[:, : len(exponents)]
+    return np.array(
+        [math.prod(v**e for v, e in zip(row, exponents)) for row in rows], dtype=float
+    )
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -233,6 +233,15 @@ class TestSprinkle:
         code, _ = invoke(["sprinkle", "--dim", "400", "--density", "10", "--trials", "1"])
         assert code == EXIT_USAGE
 
+    def test_high_dimension_ratio_check_is_relative(self):
+        # |alpha/beta| > 1e5 at d = 25: an absolute 1e-10 tolerance is
+        # below float resolution there and refused a correct ratio.
+        code, text = invoke(
+            ["sprinkle", "--dim", "25", "--density", "10", "--trials", "1"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(text)["trials"] == 1
+
     def test_unknown_field_spec_exit_2(self):
         code, _ = invoke(
             ["sprinkle", "--dim", "2", "--density", "10", "--field", "wavelet:1"]

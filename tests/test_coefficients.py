@@ -189,6 +189,20 @@ class TestOperatorConstants:
         with pytest.raises(ValueError, match="overflow"):
             operator_constants(d)
 
+    def test_every_representable_dimension_passes_the_ratio_check(self):
+        # The check is relative: from d = 25 on |alpha/beta| exceeds 1e5,
+        # where an absolute 1e-10 is below float resolution.
+        checked = 0
+        for d in range(2, 344):
+            try:
+                constants = operator_constants(d)
+            except ValueError as exc:
+                assert "overflow" in str(exc), (d, exc)
+                continue
+            assert constants.dimension == d
+            checked += 1
+        assert checked > 200
+
     def test_sphere_areas(self):
         assert sphere_surface_area(0) == pytest.approx(2.0)
         assert sphere_surface_area(1) == pytest.approx(2 * math.pi)

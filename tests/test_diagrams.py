@@ -21,14 +21,12 @@ from causetbox.diagrams import (
     FeasibilityError,
     consecutive_bare_before,
     count_restricted,
-    count_up_to_color_swap,
     enumerate_diagrams,
     first_end_profile,
     inside_points,
     is_in_restricted_class,
     is_valid_diagram,
     restricted_class_parameters,
-    swap_red_blue,
     verify_cancellation,
     verify_coefficient_count,
 )
@@ -195,22 +193,6 @@ class TestProfilesAndRestriction:
         # "Known deviations".
         assert count_restricted(2, 8, 2, 2) == 20
         assert count_restricted(2, 10, 3, 2) == 42
-
-
-class TestColorSwap:
-    def test_swap_is_fixed_point_free_involution(self):
-        for element in enumerate_diagrams(2, 5):
-            swapped = swap_red_blue(element)
-            assert swapped != element
-            assert swap_red_blue(swapped) == element
-
-    def test_counts_up_to_swap(self):
-        assert count_up_to_color_swap(2, 4, 2, 0) == 8
-        assert count_up_to_color_swap(1, 2, 1, 0) == 2
-        assert count_up_to_color_swap(2, 6, 2, 1) == 16
-
-    def test_chordless_diagram_is_its_own_swap(self):
-        assert count_up_to_color_swap(0, 3, 1, 0) == 1
 
 
 class TestVerifications:

@@ -5,6 +5,8 @@ enumeration (see test_diagrams / the acceptance suite); the closed
 forms are checked against the series over the whole truncation window.
 """
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,60 @@ from causetbox.genseries import (
 )
 
 WINDOW = diagram_series(4, 13)
+
+
+# Plain-loop reference: the general truncated product and the summed
+# powers q**k that the recurrence F = N + q*F replaced, kept as the
+# oracle it must match exactly.
+
+
+def reference_multiply(a, b, max_x, max_y):
+    out = [[0] * (max_y + 1) for _ in range(max_x + 1)]
+    for i, row in enumerate(a):
+        for j, coeff in enumerate(row):
+            if coeff == 0:
+                continue
+            for k in range(max_x - i + 1):
+                for l in range(max_y - j + 1):
+                    if b[k][l]:
+                        out[i + k][j + l] += coeff * b[k][l]
+    return out
+
+
+def reference_series(max_x, max_y):
+    def table():
+        return [[0] * (max_y + 1) for _ in range(max_x + 1)]
+
+    numerator, q = table(), table()
+    for n in range(max_x + 1):
+        if 2 * n + 1 <= max_y:
+            numerator[n][2 * n + 1] = math.comb(2 * n, n)
+    if max_y >= 2:
+        for n, weight in ((0, 1), (1, 4)):
+            if n <= max_x:
+                q[n][2] = weight
+                numerator[n][2] += weight
+    geometric, power = table(), table()
+    geometric[0][0] = power[0][0] = 1
+    for _ in range(max_y // 2):
+        power = reference_multiply(power, q, max_x, max_y)
+        for i in range(max_x + 1):
+            for j in range(max_y + 1):
+                geometric[i][j] += power[i][j]
+    product = reference_multiply(numerator, geometric, max_x, max_y)
+    return tuple(tuple(row) for row in product)
+
+
+class TestMatchesReferenceExpansion:
+    @pytest.mark.parametrize(
+        "max_x, max_y", [(0, 0), (0, 1), (5, 3), (4, 13), (4, 26), (32, 96)]
+    )
+    def test_exact_equality(self, max_x, max_y):
+        assert diagram_series(max_x, max_y).coeffs == reference_series(max_x, max_y)
+
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=16))
+    def test_small_windows(self, max_x, max_y):
+        assert diagram_series(max_x, max_y).coeffs == reference_series(max_x, max_y)
 
 
 class TestDiagramSeries:

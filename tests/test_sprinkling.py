@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from causetbox.causet import CausalSet, from_relations
 from causetbox.sprinkling import (
     ConstantField,
     DiamondConfig,
@@ -14,7 +16,6 @@ from causetbox.sprinkling import (
     causal_matrix,
     diamond_volume,
     estimate_box,
-    field_eval,
     field_values,
     parse_field_spec,
     sprinkle,
@@ -133,21 +134,84 @@ class TestSprinkle:
         assert config.length_scale == pytest.approx(0.2)
 
 
+# Plain-loop reference: the per-row evaluator that field_values replaced,
+# kept as the oracle it must match bit for bit.
+
+
+def reference_field_eval(spec, coords):
+    if isinstance(spec, ConstantField):
+        return float(spec.value)
+    point = np.asarray(coords, dtype=float)
+    return float(np.prod([point[k] ** e for k, e in enumerate(spec.exponents)]))
+
+
+def antichain(coords):
+    coords = np.asarray(coords, dtype=float)
+    return CausalSet(np.zeros((len(coords), len(coords)), dtype=bool), coords)
+
+
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@st.composite
+def field_cases(draw):
+    width = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(
+        st.lists(
+            st.lists(coordinate, min_size=width, max_size=width),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    exponents = draw(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=width)
+    )
+    if draw(st.booleans()):
+        return np.array(rows), ConstantField(draw(coordinate))
+    return np.array(rows), MonomialField(tuple(exponents))
+
+
 class TestFields:
     def test_constant(self):
-        assert field_eval(ConstantField(1.0), [3.0, 4.0]) == 1.0
+        causal_set = antichain([[3.0, 4.0], [0.0, 0.0]])
+        assert field_values(ConstantField(1.0), causal_set).tolist() == [1.0, 1.0]
+        # a constant needs no coordinates
+        bare = from_relations(2, [(0, 1)])
+        assert field_values(ConstantField(2.5), bare).tolist() == [2.5, 2.5]
 
     def test_monomial(self):
-        assert field_eval(MonomialField((2,)), [2.0, 0.0]) == pytest.approx(4.0)
-        assert field_eval(MonomialField((1, 1)), [2.0, 3.0]) == pytest.approx(6.0)
+        causal_set = antichain([[2.0, 0.0], [2.0, 3.0]])
+        assert field_values(MonomialField((2,)), causal_set).tolist() == [4.0, 4.0]
+        assert field_values(MonomialField((1, 1)), causal_set).tolist() == [0.0, 6.0]
 
     def test_monomial_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            field_eval(MonomialField((1, 1, 1)), [2.0, 3.0])
+        with pytest.raises(ValueError, match="monomial uses 3 coordinates"):
+            field_values(MonomialField((1, 1, 1)), antichain([[2.0, 3.0]]))
+
+    def test_monomial_needs_coordinates(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            field_values(MonomialField((1,)), from_relations(2, [(0, 1)]))
+
+    def test_negative_exponent_at_zero_is_infinite(self):
+        # 0.0 ** -1 is inf (with a numpy warning), not a Python exception.
+        with np.errstate(divide="ignore"):
+            values = field_values(MonomialField((0, -1)), antichain([[1.0, 0.0]]))
+        assert values.tolist() == [math.inf]
+
+    @given(field_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_per_row(self, case):
+        coords, spec = case
+        got = field_values(spec, antichain(coords))
+        want = np.array([reference_field_eval(spec, row) for row in coords])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_table_requires_matching_length(self):
-        from causetbox.causet import from_relations
-
         causal_set = from_relations(2, [(0, 1)])
         assert field_values(TableField((5.0, 7.0)), causal_set).tolist() == [5.0, 7.0]
         with pytest.raises(ValueError):
