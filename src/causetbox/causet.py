@@ -18,6 +18,7 @@ consistency is one of the package's acceptance checks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from .coefficients import (
     alpha_over_beta,
-    layer_coefficient,
+    coefficient_table,
     num_layers,
     operator_constants,
 )
@@ -220,10 +221,14 @@ def _as_field(values: Sequence[float] | np.ndarray, n_elements: int) -> np.ndarr
 
 def _weighted(dimension: int, values: Sequence[float]) -> float:
     """``sum_i C_i * values[i - 1]``, one value per layer of ``dimension``."""
-    return sum(
-        float(layer_coefficient(dimension, i)) * value
-        for i, value in enumerate(values, start=1)
-    )
+    entries = coefficient_table(dimension).entries
+    return sum(float(c) * value for c, value in zip(entries, values, strict=True))
+
+
+def _check_length_scale(length_scale: float) -> None:
+    """Refuse a discreteness scale that is not a positive finite number."""
+    if not 0 < length_scale < math.inf:
+        raise ValueError(f"length scale must be positive and finite, got {length_scale}")
 
 
 def box_operator(
@@ -234,8 +239,7 @@ def box_operator(
     x: int,
 ) -> float:
     """The discrete box operator applied to ``field`` at element ``x``."""
-    if length_scale <= 0:
-        raise ValueError("length scale must be positive")
+    _check_length_scale(length_scale)
     values = _as_field(field, causal_set.size)
     constants = operator_constants(dimension)
     weighted = _weighted(dimension, layer_sums(causal_set, x, values, num_layers(dimension)))
@@ -259,8 +263,7 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     with ``beta/alpha`` floated from the exact rational reciprocal.  The
     overall dimension-independent normalization is fixed to 1.
     """
-    if length_scale <= 0:
-        raise ValueError("length scale must be positive")
+    _check_length_scale(length_scale)
     constants = operator_constants(dimension)
     abundances = interval_abundances(causal_set, num_layers(dimension))
     beta_over_alpha = float(1 / alpha_over_beta(dimension))

@@ -16,10 +16,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import coefficients, diagrams, evenstrings, sprinkling
-from .causet import gravitational_action, load_causal_set
+from .causet import _check_length_scale, gravitational_action, load_causal_set
 
 __all__ = ["main", "run"]
 
@@ -50,7 +51,7 @@ def _csv_text(rows: list[list], header: list[str]) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
@@ -169,6 +170,8 @@ def _cmd_action(args: argparse.Namespace) -> int:
 def _cmd_sprinkle(args: argparse.Namespace) -> int:
     if (args.density is None) == (args.ell is None):
         raise _CliError("provide exactly one of --density and --ell")
+    if args.ell is not None:
+        _check_length_scale(args.ell)
     density = args.density if args.density is not None else args.ell ** (-args.dim)
     config = sprinkling.DiamondConfig(
         dimension=args.dim,
@@ -178,6 +181,12 @@ def _cmd_sprinkle(args: argparse.Namespace) -> int:
     )
     spec = sprinkling.parse_field_spec(args.field)
     mean, std_error = sprinkling.estimate_box(config, spec, args.trials)
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise _CliError(
+            f"the estimate is not finite (mean {mean}, std_error {std_error}): "
+            "some trial's box value is infinite or NaN, as when the field is "
+            "infinite or NaN at a sprinkled element"
+        )
     payload = {
         "mean": mean,
         "std_error": std_error,
@@ -274,7 +283,7 @@ def run(argv: list[str] | None = None) -> int:
     except diagrams.FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (_CliError, ValueError, OSError) as exc:
+    except (_CliError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

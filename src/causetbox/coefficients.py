@@ -5,13 +5,18 @@ The discrete box operator in dimension ``d`` acts on a scalar field as
     (1 / ell**2) * (alpha * phi(x) + beta * sum_i C_i * layer_sum_i)
 
 where the layer coefficients ``C_1 .. C_(floor(d/2)+2)`` are alternating
-sums of gamma-function ratios.  Everything on the exact path is carried
-by :class:`fractions.Fraction`: for odd ``d`` the half-integer gamma
-values are reduced with ``gamma(n + 1/2) = (2n-1)!! / 2**n * sqrt(pi)``
-and the ``sqrt(pi)`` factors are cancelled symbolically, so no floating
-gamma ever touches a coefficient.  Floating values appear only in the
-operator constants ``alpha``, ``beta`` and the volume factor ``c_d``,
-which are genuinely irrational.
+sums whose terms are counts.  Scaled by ``2**(2*floor(d/2) + 2)`` every
+coefficient is the integer
+
+    sum_k binom(i-1, k) * (-1)**k * scaled_gamma_ratio(d, k)
+
+and :func:`coefficient_table` evaluates exactly that sum, in integers,
+once per dimension; the exact ``Fraction`` is the integer over the
+scale.  The gamma-function form the sum comes from (Glaser 2014, with
+half-integer gammas and symbolic ``sqrt(pi)`` cancellation) lives in
+``tests/gamma_oracle.py``, where the tests check every table against it.
+Floating values appear only in the operator constants ``alpha``,
+``beta`` and the volume factor ``c_d``, which are genuinely irrational.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "coefficient_table",
     "scaled_gamma_ratio",
     "alpha_over_beta",
-    "alpha_over_beta_gamma_form",
     "catalan_number",
     "sphere_surface_area",
     "operator_constants",
@@ -55,76 +59,26 @@ def _check_index(dimension: int, index: int) -> None:
         )
 
 
-def _double_factorial(n: int) -> int:
-    """(n)!! for n >= -1; the empty product (-1)!! is 1."""
-    return math.prod(range(n, 0, -2))
-
-
-def _exact_gamma_half(twice_z: int) -> tuple[Fraction, int]:
-    """Gamma(twice_z / 2) for positive integer or half-integer argument.
-
-    Returns ``(rational, k)`` meaning ``rational * sqrt(pi)**k`` with
-    ``k`` in {0, 1}: integer arguments give a factorial, half-integer
-    arguments use ``gamma(n + 1/2) = (2n-1)!! / 2**n * sqrt(pi)``.
-    """
-    if twice_z <= 0:
-        raise ValueError(f"gamma argument must be positive, got {twice_z}/2")
-    if twice_z % 2 == 0:
-        return Fraction(math.factorial(twice_z // 2 - 1)), 0
-    n = (twice_z - 1) // 2
-    return Fraction(_double_factorial(2 * n - 1), 2**n), 1
-
-
 def layer_coefficient(dimension: int, index: int) -> Fraction:
-    """Exact layer coefficient for layer ``index`` in dimension ``dimension``.
+    """Exact layer coefficient ``C_index`` in dimension ``dimension``.
 
-    Evaluates the alternating sum over ``k = 0 .. index-1`` of
-
-        binom(index-1, k) * (-1)**k * G(d*(k+1)) / (G0 * G(d*k))
-
-    where the three gamma factors are, for even ``d``,
-    ``gamma(d*(k+1)/2 + 2) / (gamma(d/2 + 2) * gamma(1 + d*k/2))`` and,
-    for odd ``d``,
-    ``gamma(d*(k+1)/2 + 3/2) / (gamma((d+3)/2) * gamma(1 + d*k/2))``.
-    All square-root factors cancel within each term, so the result is an
-    exact rational.
+    A lookup into :func:`coefficient_table`: the scaled integer
+    :func:`scaled_coefficient` divided by ``2**(2*floor(d/2) + 2)``.
     """
     _check_dimension(dimension)
     _check_index(dimension, index)
-    d = dimension
-    total = Fraction(0)
-    for k in range(index):
-        if d % 2 == 0:
-            numer, s_num = _exact_gamma_half(d * (k + 1) + 4)
-            den_fixed, s_fixed = _exact_gamma_half(d + 4)
-        else:
-            numer, s_num = _exact_gamma_half(d * (k + 1) + 3)
-            den_fixed, s_fixed = _exact_gamma_half(d + 3)
-        den_k, s_k = _exact_gamma_half(d * k + 2)
-        if s_num - s_fixed - s_k != 0:
-            raise ArithmeticError(
-                "sqrt(pi) factors failed to cancel; this is a bug in the "
-                f"half-integer gamma bookkeeping (d={d}, k={k})"
-            )
-        term = numer / (den_fixed * den_k)
-        total += math.comb(index - 1, k) * (-1) ** k * term
-    return total
+    return coefficient_table(dimension).entries[index - 1]
 
 
 def scaled_coefficient(dimension: int, index: int) -> int:
     """The integer ``2**(2*floor(d/2) + 2)`` times :func:`layer_coefficient`.
 
-    The scaling clears every denominator; a non-integer result would
-    mean the coefficient arithmetic is broken, so it raises rather than
-    rounding.
+    A lookup into :func:`coefficient_table`, where it is the alternating
+    sum ``sum_k binom(index-1, k) * (-1)**k * scaled_gamma_ratio(d, k)``.
     """
-    value = layer_coefficient(dimension, index) * 2 ** (2 * (dimension // 2) + 2)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"scaled coefficient is not an integer for d={dimension}, "
-            f"i={index}: {value} (internal consistency failure)"
-        )
-    return int(value)
+    _check_dimension(dimension)
+    _check_index(dimension, index)
+    return coefficient_table(dimension).scaled_entries[index - 1]
 
 
 @dataclass(frozen=True)
@@ -152,10 +106,21 @@ class CoefficientTable:
 
 
 def coefficient_table(dimension: int) -> CoefficientTable:
-    """Exact and scaled layer coefficients ``C_1 .. C_(floor(d/2)+2)``."""
-    indices = range(1, num_layers(dimension) + 1)
-    entries = tuple(layer_coefficient(dimension, i) for i in indices)
-    scaled = tuple(scaled_coefficient(dimension, i) for i in indices)
+    """Exact and scaled layer coefficients ``C_1 .. C_(floor(d/2)+2)``.
+
+    The only place a coefficient is computed: the scaled entry ``i`` is
+    ``sum_k binom(i-1, k) * (-1)**k * scaled_gamma_ratio(d, k)`` over
+    ``k = 0 .. i-1``, an integer by construction, and the exact entry is
+    that integer over ``2**(2*floor(d/2) + 2)``.
+    """
+    top = num_layers(dimension)
+    ratios = [scaled_gamma_ratio(dimension, k) for k in range(top)]
+    scaled = tuple(
+        sum(math.comb(i - 1, k) * (-1) ** k * ratios[k] for k in range(i))
+        for i in range(1, top + 1)
+    )
+    scale = 2 ** (2 * (dimension // 2) + 2)
+    entries = tuple(Fraction(value, scale) for value in scaled)
     return CoefficientTable(dimension=dimension, entries=entries, scaled_entries=scaled)
 
 
@@ -194,25 +159,6 @@ def alpha_over_beta(dimension: int) -> Fraction:
     _check_dimension(dimension)
     if dimension % 2 == 0:
         return Fraction(-catalan_number(dimension // 2), 2)
-    return Fraction(-(2 ** (dimension - 1)), dimension + 1)
-
-
-def alpha_over_beta_gamma_form(dimension: int) -> Fraction:
-    """The same ratio read off the gamma-function forms of alpha and beta.
-
-    For even ``d`` the gamma form reduces to
-    ``-gamma(d) / (gamma(d/2 + 2) * gamma(d/2))`` with integer
-    arguments only.  For odd ``d`` the identical factor
-    ``gamma(1 + 2/d)`` appears in both constants and cancels
-    symbolically, leaving ``-2**(d-1) / (d+1)`` with no gamma residue.
-    """
-    _check_dimension(dimension)
-    if dimension % 2 == 0:
-        half = dimension // 2
-        return Fraction(
-            -math.factorial(dimension - 1),
-            math.factorial(half + 1) * math.factorial(half - 1),
-        )
     return Fraction(-(2 ** (dimension - 1)), dimension + 1)
 
 

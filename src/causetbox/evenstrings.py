@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .coefficients import _check_index, layer_coefficient
+from .coefficients import _check_index
 from .diagrams import ChordDiagram, FeasibilityError, enumerate_diagrams
 
 __all__ = [
@@ -32,14 +31,17 @@ __all__ = [
     "enumerate_constrained_strings",
     "count_constrained_strings",
     "count_constrained_paths",
-    "check_string_counts",
     "MAX_FIBER_CHORDS",
     "MAX_FIBER_LENGTH",
+    "MAX_STRING_CANDIDATES",
 ]
 
 #: Feasibility guard for fiber enumeration.
 MAX_FIBER_CHORDS = 3
 MAX_FIBER_LENGTH = 5
+#: Feasibility guard for string enumeration: the number of placements of
+#: the ones that are tried.  d = 10, i = 7 needs 1,947,792 of them.
+MAX_STRING_CANDIDATES = 2_000_000
 
 
 def odd_point_string(diagram: ChordDiagram) -> str:
@@ -91,13 +93,21 @@ def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
     zeros; each of the first ``index - 1`` ones must be preceded by
     fewer than ``dimension/2`` consecutive zeros.  Zero runs are
     counted from the left end of the string (a leading one has an empty
-    run before it).
+    run before it).  Every placement of the ones is tried, so more than
+    ``MAX_STRING_CANDIDATES`` placements raise :class:`FeasibilityError`
+    before the first is generated.
     """
     _check_even_dimension(dimension)
     _check_index(dimension, index)
     ones = dimension // 2 + 1
     zeros = dimension * (index - 1) // 2
     length = ones + zeros
+    candidates = math.comb(length, ones)
+    if candidates > MAX_STRING_CANDIDATES:
+        raise FeasibilityError(
+            f"string enumeration too large: {candidates} candidate strings for "
+            f"d={dimension}, i={index} (guard: <= {MAX_STRING_CANDIDATES})"
+        )
     max_run = dimension // 2
     for positions in itertools.combinations(range(length), ones):
         previous = -1
@@ -118,7 +128,7 @@ def count_constrained_strings(dimension: int, index: int) -> int:
     """Number of constrained strings, by direct enumeration.
 
     Equals ``(-1)**(index-1)`` times the exact layer coefficient for
-    every even dimension (see :func:`check_string_counts`).
+    every even dimension.
     """
     return sum(1 for _ in enumerate_constrained_strings(dimension, index))
 
@@ -147,34 +157,3 @@ def count_constrained_paths(dimension: int, index: int) -> int:
         return sum(ways(x + 1, ups_left - k) for k in range(cap + 1))
 
     return ways(0, up_steps)
-
-
-def check_string_counts(dimension: int) -> bool:
-    """Whether the string counts reproduce the layer coefficients.
-
-    True iff for every index, ``count_constrained_strings`` equals
-    ``(-1)**(index-1) * layer_coefficient`` exactly and the lattice-path
-    count agrees.
-    """
-    _check_even_dimension(dimension)
-    for index in range(1, dimension // 2 + 3):
-        strings = count_constrained_strings(dimension, index)
-        paths = count_constrained_paths(dimension, index)
-        target = (-1) ** (index - 1) * layer_coefficient(dimension, index)
-        if paths != strings or Fraction(strings) != target:
-            return False
-    return True
-
-
-def unconstrained_string_count(dimension: int, k: int) -> int:
-    """Strings with ``dimension/2 + 1`` ones and ``dimension*k/2`` zeros,
-    no constraint: the binomial ``binom((dimension + 2 + dimension*k)/2,
-    dimension/2 + 1)``.  Multiplied by ``4**(dimension/2 + 1)`` this is
-    the scaled gamma ratio — the bridge between the string picture and
-    the coefficient formula."""
-    _check_even_dimension(dimension)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    ones = dimension // 2 + 1
-    length = (dimension + 2 + dimension * k) // 2
-    return math.comb(length, ones)

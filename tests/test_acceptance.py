@@ -24,7 +24,6 @@ import numpy as np
 from causetbox.causet import gravitational_action, box_operator, from_relations
 from causetbox.coefficients import (
     alpha_over_beta,
-    alpha_over_beta_gamma_form,
     catalan_number,
     coefficient_table,
     layer_coefficient,
@@ -54,6 +53,7 @@ from causetbox.sprinkling import (
     estimate_box,
     sprinkle,
 )
+from gamma_oracle import alpha_over_beta_gamma_form
 
 
 def _report(capsys, number: int, passed: bool, detail: str) -> None:

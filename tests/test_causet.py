@@ -1,5 +1,7 @@
 """Causal sets, layers, the box operator, and the action."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,9 +272,12 @@ class TestBoxOperator:
 
     def test_rejects_bad_field_or_scale(self):
         with pytest.raises(ValueError):
-            box_operator(chain(3), 2, 0.0, np.ones(3), 0)
-        with pytest.raises(ValueError):
             box_operator(chain(3), 2, 1.0, np.ones(2), 0)
+        for ell in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                box_operator(chain(3), 2, ell, np.ones(3), 0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                gravitational_action(chain(3), 2, ell)
 
 
 class TestAbundancesAndAction:

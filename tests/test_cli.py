@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,20 @@ def invoke(argv):
     with contextlib.redirect_stdout(buffer):
         code = run(argv)
     return code, buffer.getvalue()
+
+
+def invoke_with_errors(argv):
+    """Run the CLI capturing both streams; return (exit_code, stdout, stderr)."""
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code, text = invoke(argv)
+    return code, text, errors.getvalue()
+
+
+def assert_one_error_line(stderr):
+    assert stderr.startswith("error: ")
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 DIAMOND_JSON = {"n": 4, "relations": [[0, 1], [0, 2], [1, 3], [2, 3]]}
@@ -132,6 +147,15 @@ class TestStrings:
         code, _ = invoke(["strings", "--dim", "3", "--i", "1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("d,i", [(12, 8), (14, 9)])
+    def test_enumeration_guard_exits_3_quickly(self, d, i):
+        start = time.perf_counter()
+        code, text, errors = invoke_with_errors(["strings", "--dim", str(d), "--i", str(i)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+
 
 class TestAction:
     def test_diamond_action(self, tmp_path):
@@ -191,6 +215,20 @@ class TestAction:
         code, _ = invoke(["action", "--input", str(path), "--dim", "400", "--ell", "1"])
         assert code == EXIT_USAGE
 
+    # 1e154 overflows the action to -inf, which strict JSON cannot carry
+    @pytest.mark.parametrize(
+        "dim,ell", [("2", "nan"), ("2", "inf"), ("4", "1e300"), ("4", "1e154")]
+    )
+    def test_bad_length_scale_exit_2(self, tmp_path, dim, ell):
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(DIAMOND_JSON))
+        code, text, errors = invoke_with_errors(
+            ["action", "--input", str(path), "--dim", dim, "--ell", ell]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+
 
 class TestSprinkle:
     def test_deterministic_json(self):
@@ -241,6 +279,26 @@ class TestSprinkle:
         )
         assert code == EXIT_OK
         assert json.loads(text)["trials"] == 1
+
+    @pytest.mark.parametrize("ell", ["0", "-1"])
+    def test_bad_length_scale_exit_2(self, ell):
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", "2", "--ell", ell, "--trials", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("field", ["mono:0,-1", "const:nan"])
+    def test_non_finite_estimate_exit_2(self, field):
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", "2", "--density", "10", "--trials", "2", "--field", field]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "not finite" in errors
 
     def test_unknown_field_spec_exit_2(self):
         code, _ = invoke(

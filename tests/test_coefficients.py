@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from causetbox.coefficients import (
     alpha_over_beta,
-    alpha_over_beta_gamma_form,
     catalan_number,
     coefficient_table,
     layer_coefficient,
@@ -24,6 +23,7 @@ from causetbox.coefficients import (
     scaled_gamma_ratio,
     sphere_surface_area,
 )
+from gamma_oracle import alpha_over_beta_gamma_form, gamma_layer_coefficient
 
 
 class TestLayerCoefficient:
@@ -131,6 +131,16 @@ class TestCoefficientTable:
                 entries=(Fraction(1), Fraction(2), Fraction(1)),
                 scaled_entries=(16, 32, 16),
             )
+
+
+class TestMatchesGammaOracle:
+    @pytest.mark.parametrize("d", [*range(2, 61), 97, 120])
+    def test_table_equals_gamma_form(self, d):
+        table = coefficient_table(d)
+        scale = 2 ** (2 * (d // 2) + 2)
+        exact = tuple(gamma_layer_coefficient(d, i) for i in range(1, num_layers(d) + 1))
+        assert table.entries == exact
+        assert table.scaled_entries == tuple(value * scale for value in exact)
 
 
 class TestAlphaOverBeta:
