@@ -231,6 +231,17 @@ def _check_length_scale(length_scale: float) -> None:
         raise ValueError(f"length scale must be positive and finite, got {length_scale}")
 
 
+def _length_power(length_scale: float, power: int, dimension: int) -> float:
+    """``length_scale ** power``, refusing a float overflow by name."""
+    try:
+        return length_scale**power
+    except OverflowError:
+        raise ValueError(
+            f"length scale {length_scale} to the power {power} overflows a float "
+            f"in dimension {dimension}"
+        ) from None
+
+
 def box_operator(
     causal_set: CausalSet,
     dimension: int,
@@ -243,7 +254,9 @@ def box_operator(
     values = _as_field(field, causal_set.size)
     constants = operator_constants(dimension)
     weighted = _weighted(dimension, layer_sums(causal_set, x, values, num_layers(dimension)))
-    return (constants.alpha * values[x] + constants.beta * weighted) / length_scale**2
+    return (constants.alpha * values[x] + constants.beta * weighted) / _length_power(
+        length_scale, 2, dimension
+    )
 
 
 def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
@@ -269,7 +282,7 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     beta_over_alpha = float(1 / alpha_over_beta(dimension))
     action = (
         -constants.alpha
-        * length_scale ** (dimension - 2)
+        * _length_power(length_scale, dimension - 2, dimension)
         * (causal_set.size + beta_over_alpha * _weighted(dimension, abundances))
     )
     return ActionReport(

@@ -7,7 +7,7 @@ string/path counts), ``action`` (gravitational action of a causal set
 file), and ``sprinkle`` (Monte Carlo box-operator estimates).
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid arguments,
-3 infeasible enumeration size.
+3 infeasible size (an enumeration, a tally or a sprinkle over its guard).
 """
 
 from __future__ import annotations
@@ -19,8 +19,15 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import coefficients, diagrams, evenstrings, sprinkling
-from .causet import _check_length_scale, gravitational_action, load_causal_set
+from .causet import (
+    _check_length_scale,
+    _length_power,
+    gravitational_action,
+    load_causal_set,
+)
 
 __all__ = ["main", "run"]
 
@@ -89,8 +96,11 @@ def _format_element(diagram: diagrams.ChordDiagram) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    elements = diagrams.enumerate_diagrams(args.chords, args.points)
-    count = len(elements)
+    if args.list:
+        elements = diagrams.enumerate_diagrams(args.chords, args.points)
+        count = len(elements)
+    else:
+        count = diagrams.count_diagrams(args.chords, args.points)
     if (args.format or "csv") == "csv":
         text = _csv_text([[args.chords, args.points, count]], ["chords", "points", "count"])
         if args.list:
@@ -111,8 +121,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         top = dim // 2 + 2
         max_index = top if args.max_i is None else min(args.max_i, top)
         for index in range(1, max_index + 1):
-            count_ok = diagrams.verify_coefficient_count(dim, index)
-            cancel_ok = diagrams.verify_cancellation(dim, index)
+            count_ok, cancel_ok = diagrams.verify_layer(dim, index)
             all_ok = all_ok and count_ok and cancel_ok
             results.append(
                 {
@@ -172,7 +181,9 @@ def _cmd_sprinkle(args: argparse.Namespace) -> int:
         raise _CliError("provide exactly one of --density and --ell")
     if args.ell is not None:
         _check_length_scale(args.ell)
-    density = args.density if args.density is not None else args.ell ** (-args.dim)
+        density = _length_power(args.ell, -args.dim, args.dim)
+    else:
+        density = args.density
     config = sprinkling.DiamondConfig(
         dimension=args.dim,
         density=density,
@@ -180,7 +191,8 @@ def _cmd_sprinkle(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     spec = sprinkling.parse_field_spec(args.field)
-    mean, std_error = sprinkling.estimate_box(config, spec, args.trials)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the check below reports it
+        mean, std_error = sprinkling.estimate_box(config, spec, args.trials)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise _CliError(
             f"the estimate is not finite (mean {mean}, std_error {std_error}): "
@@ -280,7 +292,7 @@ def run(argv: list[str] | None = None) -> int:
         args.dims = [2, 3, 4]
     try:
         return args.handler(args)
-    except diagrams.FeasibilityError as exc:
+    except coefficients.FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (_CliError, ValueError, OverflowError, OSError) as exc:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "FeasibilityError",
     "CoefficientTable",
     "OperatorConstants",
     "layer_coefficient",
@@ -38,6 +39,10 @@ __all__ = [
     "operator_constants",
     "num_layers",
 ]
+
+
+class FeasibilityError(Exception):
+    """Raised when a requested size exceeds its feasibility guard."""
 
 
 def num_layers(dimension: int) -> int:

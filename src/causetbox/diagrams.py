@@ -18,19 +18,35 @@ may precede the leading first ends, is what ties them to the scaled
 d'Alembertian layer coefficients; :func:`verify_coefficient_count`
 checks that count against :func:`causetbox.coefficients.scaled_coefficient`
 and :func:`verify_cancellation` replays the signed insertion multisets
-behind the identity.  Both report honestly: the identity is *false* at
-some in-guard parameters (see the README's "Known deviations"), and
-the functions return ``False`` there rather than papering over it.
+behind the identity.  Both report honestly: the identity is *false*
+from layer index 3 on (see the README's "Known deviations"), and the
+functions return ``False`` there rather than papering over it.
+
+:func:`enumerate_diagrams` builds every diagram and is guarded to small
+sizes.  The counts and the replay build none: a valid diagram is a word
+of bare points and blocks (see :func:`_tally`), the class and the
+replay depend only on the word's profile, and a transfer-matrix tally
+over the word (Stanley, *Enumerative Combinatorics* I, §4.7) counts the
+diagrams by profile class.  ``tests/diagram_oracle.py`` keeps the
+diagram-by-diagram filter and replay that the tally must equal.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .coefficients import _check_dimension, _check_index, scaled_coefficient
+from .coefficients import (
+    FeasibilityError,
+    _check_dimension,
+    _check_index,
+    catalan_number,
+    scaled_coefficient,
+)
+from .genseries import diagram_series
 
 __all__ = [
     "BLACK",
@@ -38,33 +54,36 @@ __all__ = [
     "BLUE",
     "Chord",
     "ChordDiagram",
-    "FirstEndProfile",
     "FeasibilityError",
     "inside_points",
     "is_valid_diagram",
     "enumerate_diagrams",
-    "consecutive_bare_before",
-    "first_end_profile",
-    "is_in_restricted_class",
+    "count_diagrams",
     "count_restricted",
     "restricted_class_parameters",
     "verify_coefficient_count",
     "verify_cancellation",
+    "verify_layer",
     "MAX_CHORDS",
     "MAX_POINTS",
+    "MAX_SERIES_CELLS",
+    "MAX_TALLY_SIZE",
 ]
 
 BLACK = "black"
 RED = "red"
 BLUE = "blue"
 
-#: Feasibility guard for the verification drivers.
+#: Feasibility guard for building diagrams one by one.
 MAX_CHORDS = 4
 MAX_POINTS = 16
-
-
-class FeasibilityError(Exception):
-    """Raised when a requested enumeration exceeds the feasibility guard."""
+#: Feasibility guard for counting from the generating series: the cells
+#: (chords + 1)(points + 1) of its truncation window.
+MAX_SERIES_CELLS = 250_000
+#: Feasibility guard for the restricted-class tally, on the product
+#: (points + 1)(chords + 1)(place + 1)(gap * place + 1) that bounds its
+#: states; see :func:`_tally_size`.
+MAX_TALLY_SIZE = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -92,15 +111,6 @@ class ChordDiagram:
     def bare_points(self) -> frozenset[int]:
         covered = {p for chord in self.chords for p in (chord.low, chord.high)}
         return frozenset(range(1, self.points + 1)) - covered
-
-
-@dataclass(frozen=True)
-class FirstEndProfile:
-    """First ends of the red/blue chords in increasing position order,
-    with each chord's width (1 + number of black chords inside it)."""
-
-    first_ends: tuple[int, ...]
-    widths: tuple[int, ...]
 
 
 def _check_well_formed(diagram: ChordDiagram) -> None:
@@ -169,6 +179,21 @@ def is_valid_diagram(diagram: ChordDiagram) -> bool:
     return True
 
 
+def _check_sizes(n_chords: int, n_points: int) -> None:
+    if n_chords < 0:
+        raise ValueError(f"chord count must be >= 0, got {n_chords}")
+    if n_points < 1:
+        raise ValueError(f"point count must be >= 1, got {n_points}")
+
+
+def _check_feasible(n_chords: int, n_points: int) -> None:
+    if n_chords > MAX_CHORDS or n_points > MAX_POINTS:
+        raise FeasibilityError(
+            f"enumeration too large: {n_chords} chords on {n_points} points "
+            f"(guard: <= {MAX_CHORDS} chords, <= {MAX_POINTS} points)"
+        )
+
+
 def _noncrossing_matchings(
     points: tuple[int, ...],
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -199,10 +224,7 @@ def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
     (``MAX_CHORDS`` chords, ``MAX_POINTS`` points) raise
     :class:`FeasibilityError` rather than running unbounded.
     """
-    if n_chords < 0:
-        raise ValueError(f"chord count must be >= 0, got {n_chords}")
-    if n_points < 1:
-        raise ValueError(f"point count must be >= 1, got {n_points}")
+    _check_sizes(n_chords, n_points)
     _check_feasible(n_chords, n_points)
     if n_points < 2 * n_chords:
         return []
@@ -270,79 +292,118 @@ def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
     return results
 
 
-def consecutive_bare_before(diagram: ChordDiagram, point: int) -> int:
-    """Length of the maximal bare run immediately preceding ``point``.
-
-    The scan walks positions ``point-1, point-2, ...`` and stops at the
-    first chord end *or at the root boundary*: runs never wrap past
-    point 1 back to point ``m``, so the result is at most ``point - 1``.
-    This linear convention is what makes the restricted-class counts
-    match the scaled coefficients wherever they match at all.
-    """
-    if not 1 <= point <= diagram.points:
-        raise ValueError(f"point {point} out of range 1..{diagram.points}")
-    bare = diagram.bare_points()
-    run = 0
-    position = point - 1
-    while position >= 1 and position in bare:
-        run += 1
-        position -= 1
-    return run
-
-
-def first_end_profile(diagram: ChordDiagram) -> FirstEndProfile:
-    """First ends in increasing position order with their widths.
-
-    Valid diagrams have every black chord inside exactly one red/blue
-    chord, so the widths always sum to the total chord count.
-    """
-    colored = sorted(
-        (c for c in diagram.chords if c.color != BLACK), key=lambda c: c.first_end
-    )
-    black = [c for c in diagram.chords if c.color == BLACK]
-    first_ends = []
-    widths = []
-    for chord in colored:
-        inside = inside_points(diagram.points, chord)
-        n_black_inside = sum(
-            1 for b in black if {b.low, b.high} <= inside
+def count_diagrams(n_chords: int, n_points: int) -> int:
+    """``len(enumerate_diagrams(n_chords, n_points))`` without building a
+    diagram: the coefficient of :func:`~causetbox.genseries.diagram_series`.
+    Windows of more than ``MAX_SERIES_CELLS`` cells raise
+    :class:`FeasibilityError`."""
+    _check_sizes(n_chords, n_points)
+    cells = (n_chords + 1) * (n_points + 1)
+    if cells > MAX_SERIES_CELLS:
+        raise FeasibilityError(
+            f"series window too large: {n_chords} chords on {n_points} points "
+            f"need {cells} cells (guard: <= {MAX_SERIES_CELLS})"
         )
-        first_ends.append(chord.first_end)
-        widths.append(1 + n_black_inside)
-    return FirstEndProfile(first_ends=tuple(first_ends), widths=tuple(widths))
+    return diagram_series(n_chords, n_points).coefficient(n_chords, n_points)
 
 
-def is_in_restricted_class(
-    diagram: ChordDiagram, gap_bound: int, place_bound: int
-) -> bool:
-    """Whether every constrained first end has a short enough bare run.
+def _low_blocks(width: int) -> int:
+    """Low blocks of a width: a red/blue chord with its first end at the
+    low endpoint around a noncrossing black matching of ``2(width-1)``
+    points."""
+    return 2 * catalan_number(width - 1)
 
-    A first end ``e_j`` is constrained when the widths of the earlier
-    first ends sum to less than ``place_bound``; each constrained end
-    must have fewer than ``gap_bound`` consecutive bare points
-    immediately before it (bare runs measured linearly, never wrapping
-    past the root — see :func:`consecutive_bare_before`).
+
+def _wrap_blocks(width: int) -> int:
+    """Wrap blocks of a width: as a low block, with the first end at the
+    high endpoint and the black matching on the arc outside the chord,
+    which the root can cut in ``2(width-1) + 1`` places."""
+    return _low_blocks(width) * (2 * width - 1)
+
+
+def _block_factor(run: int, slots: int, gap_bound: int) -> tuple[bool, int]:
+    """One first end's part in the class test and in the net multiplicity.
+
+    ``slots`` is how many of the end's width units fall among the first
+    ``place_bound`` insertion slots, and ``run`` the bare run before it.
+    An end with no slot is unconstrained.  A constrained end is in the
+    class when ``run < gap_bound``; the replay can have inserted ``j``
+    blocks of ``gap_bound`` points before it for every ``j`` up to
+    ``min(slots, run // gap_bound)``, in ``binom(slots, j)`` ways and
+    with sign ``(-1)**j``.
     """
-    profile = first_end_profile(diagram)
-    cumulative_width = 0
-    for end, width in zip(profile.first_ends, profile.widths):
-        if cumulative_width >= place_bound:
-            break
-        if consecutive_bare_before(diagram, end) >= gap_bound:
-            return False
-        cumulative_width += width
-    return True
+    if not slots:
+        return True, 1
+    top = min(slots, run // gap_bound)
+    return run < gap_bound, sum((-1) ** j * math.comb(slots, j) for j in range(top + 1))
 
 
-def count_restricted(
+def _tally_size(n_chords: int, n_points: int, gap_bound: int, place_bound: int) -> int:
+    """The bound on the tally's work: points x chords x widths x runs."""
+    return (n_points + 1) * (n_chords + 1) * (place_bound + 1) * (gap_bound * place_bound + 1)
+
+
+def _tally(
     n_chords: int, n_points: int, gap_bound: int, place_bound: int
-) -> int:
-    """Size of the restricted class, by filtered enumeration."""
-    return sum(
-        1
-        for diagram in enumerate_diagrams(n_chords, n_points)
-        if is_in_restricted_class(diagram, gap_bound, place_bound)
-    )
+) -> dict[tuple[bool, int], int]:
+    """Valid diagrams counted by (in the restricted class, net multiplicity).
+
+    The net multiplicity is what :func:`verify_cancellation`'s replay,
+    inserting ``gap_bound`` bare points per chosen slot, gives the
+    diagram.  A valid diagram is a word of bare points and low blocks,
+    or one wrap block whose inside is the arc outside its chord and
+    whose span holds such a word.  Both the class and the multiplicity
+    depend only on the profile: the bare run before each first end (a
+    wrap block's first end is its high endpoint, so it comes last) and
+    the widths before it.  The word is built left to right, one layer
+    per point count, with the state (chords, cumulative width capped at
+    ``place_bound``, current bare run, class so far, multiplicity so
+    far).  Runs are capped at ``gap_bound * place_bound``, past which no
+    factor changes, and dropped once the width reaches ``place_bound``.
+    """
+    _check_sizes(n_chords, n_points)
+    if gap_bound < 1 or place_bound < 0:
+        raise ValueError(
+            f"need gap bound >= 1 and place bound >= 0, got {gap_bound}, {place_bound}"
+        )
+    size = _tally_size(n_chords, n_points, gap_bound, place_bound)
+    if size > MAX_TALLY_SIZE:
+        raise FeasibilityError(
+            f"restricted-class tally too large: {n_chords} chords on {n_points} "
+            f"points, gap {gap_bound}, place {place_bound} give size {size} "
+            f"(guard: <= {MAX_TALLY_SIZE})"
+        )
+    if n_points < 2 * n_chords:
+        return {}
+    run_cap = gap_bound * place_bound
+    tally: dict[tuple[bool, int], int] = defaultdict(int)
+    layers = [defaultdict(int) for _ in range(n_points + 1)]
+    layers[0][(0, 0, 0, True, 1)] = 1
+    for points, layer in enumerate(layers):
+        left = n_points - points
+        for (chords, width, run, in_class, net), count in layer.items():
+            free = n_chords - chords
+            open_slots = place_bound - width
+            if left == 2 * free:
+                if free:  # a wrap block of the remaining width closes the word
+                    fits, factor = _block_factor(run, min(free, open_slots), gap_bound)
+                    tally[(in_class and fits, net * factor)] += count * _wrap_blocks(free)
+                else:  # the word is the whole diagram
+                    tally[(in_class, net)] += count
+            if left > 2 * free:
+                longer = min(run + 1, run_cap) if open_slots else 0
+                layers[points + 1][(chords, width, longer, in_class, net)] += count
+            for block in range(1, free + 1):
+                fits, factor = _block_factor(run, min(block, open_slots), gap_bound)
+                state = (
+                    chords + block,
+                    min(width + block, place_bound),
+                    0,
+                    in_class and fits,
+                    net * factor,
+                )
+                layers[points + 2 * block][state] += count * _low_blocks(block)
+    return dict(tally)
 
 
 def restricted_class_parameters(dimension: int, index: int) -> tuple[int, int, int, int]:
@@ -357,12 +418,29 @@ def restricted_class_parameters(dimension: int, index: int) -> tuple[int, int, i
     return n_chords, n_points, dimension, index - 1
 
 
-def _check_feasible(n_chords: int, n_points: int) -> None:
-    if n_chords > MAX_CHORDS or n_points > MAX_POINTS:
-        raise FeasibilityError(
-            f"enumeration too large: {n_chords} chords on {n_points} points "
-            f"(guard: <= {MAX_CHORDS} chords, <= {MAX_POINTS} points)"
-        )
+def count_restricted(
+    n_chords: int, n_points: int, gap_bound: int, place_bound: int
+) -> int:
+    """Size of the restricted class: the valid diagrams in which every
+    first end whose earlier widths sum to less than ``place_bound`` has
+    fewer than ``gap_bound`` bare points right before it (runs are
+    linear and stop at the root).  Counted by :func:`_tally`; sizes over
+    ``MAX_TALLY_SIZE`` raise :class:`FeasibilityError`."""
+    return _in_class(_tally(n_chords, n_points, gap_bound, place_bound))
+
+
+def _in_class(tally: dict[tuple[bool, int], int]) -> int:
+    """The number of diagrams the tally puts in the restricted class."""
+    return sum(count for (in_class, _), count in tally.items() if in_class)
+
+
+def verify_layer(dimension: int, index: int) -> tuple[bool, bool]:
+    """``(verify_coefficient_count, verify_cancellation)`` at
+    ``(dimension, index)``, both read off one tally."""
+    tally = _tally(*restricted_class_parameters(dimension, index))
+    count = _in_class(tally)
+    count_ok = scaled_coefficient(dimension, index) == (-1) ** (index - 1) * count
+    return count_ok, all(net == in_class for in_class, net in tally)
 
 
 def verify_coefficient_count(dimension: int, index: int) -> bool:
@@ -371,89 +449,29 @@ def verify_coefficient_count(dimension: int, index: int) -> bool:
     Compares ``scaled_coefficient(dimension, index)`` with
     ``(-1)**(index-1)`` times the restricted count at
     :func:`restricted_class_parameters`.  Raises
-    :class:`FeasibilityError` beyond the enumeration guard instead of
-    skipping.  The equality genuinely fails for ``index == 3`` at
-    dimensions 2, 3 and 4 (counts 20/42/1112 against coefficient
-    magnitudes 16/36/1024), and this function returns ``False`` there.
+    :class:`FeasibilityError` beyond the tally's guard instead of
+    skipping.  The equality genuinely fails for ``index == 3`` (counts
+    20/42/1112 against coefficient magnitudes 16/36/1024 in dimensions
+    2, 3 and 4), and this function returns ``False`` there.
     """
-    n_chords, n_points, gap_bound, place_bound = restricted_class_parameters(
-        dimension, index
-    )
-    _check_feasible(n_chords, n_points)
-    expected = scaled_coefficient(dimension, index)
-    count = count_restricted(n_chords, n_points, gap_bound, place_bound)
-    return expected == (-1) ** (index - 1) * count
-
-
-def _insertion_places(diagram: ChordDiagram) -> tuple[int, ...]:
-    """Formal insertion slots, one first-end position per unit of width,
-    ordered by (first-end position, slot index)."""
-    profile = first_end_profile(diagram)
-    places: list[int] = []
-    for end, width in zip(profile.first_ends, profile.widths):
-        places.extend([end] * width)
-    return tuple(places)
-
-
-def _insert_bare_before(
-    diagram: ChordDiagram, ends: Iterable[int], gap: int
-) -> ChordDiagram:
-    """Insert ``gap`` bare points immediately before each position in
-    ``ends`` (a multiset), shifting everything at or after an insertion
-    point upward as in word insertion."""
-    end_list = sorted(ends)
-
-    def shifted(position: int) -> int:
-        bump = sum(gap for e in end_list if e <= position)
-        return position + bump
-
-    new_chords = tuple(
-        sorted(
-            Chord(
-                shifted(c.low),
-                shifted(c.high),
-                c.color,
-                None if c.first_end is None else shifted(c.first_end),
-            )
-            for c in diagram.chords
-        )
-    )
-    return ChordDiagram(
-        points=diagram.points + gap * len(end_list), chords=new_chords
-    )
+    return verify_layer(dimension, index)[0]
 
 
 def verify_cancellation(dimension: int, index: int) -> bool:
     """Replay the signed insertion multisets behind the counting identity.
 
     For each ``k`` in ``0..index-1``, every diagram of the unrestricted
-    class at ``k`` extra bare blocks, and every choice of
-    ``index-1-k`` of its first ``index-1`` formal insertion slots,
-    insert ``dimension`` bare points immediately before the chosen
-    first ends, weighting by ``(-1)**(index-1-k)``.  Returns ``True``
-    iff the signed multiset collapses to exactly the restricted class
-    with multiplicity one each.  Like the count check, this genuinely
-    fails at ``(2, 3)``-style parameters where some excluded diagrams
-    net a nonzero signed multiplicity; it returns ``False`` there.
+    class at ``k`` extra bare blocks, and every choice of ``index-1-k``
+    of its first ``index-1`` formal insertion slots, insert
+    ``dimension`` bare points immediately before the chosen first ends,
+    weighting by ``(-1)**(index-1-k)``.  Returns ``True`` iff the signed
+    multiset collapses to exactly the restricted class with
+    multiplicity one each.  A diagram's net multiplicity is a product of
+    signed binomials over its first ends (:func:`_block_factor`), so
+    the replay is the tally's check that every diagram's multiplicity is
+    1 in the class and 0 outside it.  Like the count check, this
+    genuinely fails at ``(2, 3)``-style parameters, where some excluded
+    diagrams net a nonzero signed multiplicity; it returns ``False``
+    there.
     """
-    n_chords, target_points, gap_bound, place_bound = restricted_class_parameters(
-        dimension, index
-    )
-    _check_feasible(n_chords, target_points)
-    signed: Counter[ChordDiagram] = Counter()
-    for k in range(index):
-        base_points = 2 * (dimension // 2) + 2 + dimension * k
-        sign = (-1) ** (index - 1 - k)
-        n_insertions = index - 1 - k
-        for diagram in enumerate_diagrams(n_chords, base_points):
-            head = _insertion_places(diagram)[: index - 1]
-            for chosen in itertools.combinations(range(len(head)), n_insertions):
-                ends = [head[slot] for slot in chosen]
-                signed[_insert_bare_before(diagram, ends, dimension)] += sign
-    net = {diagram: mult for diagram, mult in signed.items() if mult != 0}
-    expected = {
-        diagram: 1
-        for diagram in enumerate_diagrams(n_chords, target_points)
-        if is_in_restricted_class(diagram, gap_bound, place_bound)
-    }
-    return net == expected
+    return verify_layer(dimension, index)[1]

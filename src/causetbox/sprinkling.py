@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causet import CausalSet, box_operator
-from .coefficients import _check_dimension
+from .coefficients import FeasibilityError, _check_dimension
 
 __all__ = [
     "DiamondConfig",
@@ -39,7 +39,11 @@ __all__ = [
     "field_values",
     "parse_field_spec",
     "estimate_box",
+    "MAX_ESTIMATE_BYTES",
 ]
+
+#: Memory budget of one Monte Carlo estimate, checked before allocating.
+MAX_ESTIMATE_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -235,6 +239,26 @@ def parse_field_spec(text: str) -> FieldSpec:
     )
 
 
+def _check_budget(config: DiamondConfig, trials: int) -> None:
+    """Refuse an estimate whose arrays would not fit ``MAX_ESTIMATE_BYTES``.
+
+    A trial with ``N`` elements holds, at its peak in
+    :func:`causal_matrix`, ``d - 1`` spatial differences plus the
+    distance and time-difference matrices: ``d + 1`` float64 values per
+    ordered pair.  ``N`` is taken as the expected Poisson count plus the
+    tip, and the per-trial values add one float64 per trial.
+    """
+    elements = config.density * diamond_volume(config.dimension, config.half_height)
+    pairs = (elements + 1) * (elements + 1)  # a float product: inf, never OverflowError
+    needed = 8 * (config.dimension + 1) * pairs + 8 * trials
+    if not needed <= MAX_ESTIMATE_BYTES:
+        raise FeasibilityError(
+            f"sprinkle too large: about {elements:.4g} elements per trial and "
+            f"{trials} trials need about {needed:.3g} bytes "
+            f"(guard: <= {MAX_ESTIMATE_BYTES} bytes)"
+        )
+
+
 def estimate_box(
     config: DiamondConfig, field_spec: FieldSpec, trials: int
 ) -> tuple[float, float]:
@@ -242,10 +266,13 @@ def estimate_box(
 
     Each trial sprinkles independently (child RNG stream ``(seed, trial)``),
     evaluates the operator at the top tip with the length scale derived
-    from the density, and the results are averaged in trial order.
+    from the density, and the results are averaged in trial order.  A
+    request whose arrays exceed ``MAX_ESTIMATE_BYTES`` raises
+    :class:`~causetbox.coefficients.FeasibilityError` before any is allocated.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_budget(config, trials)
     values = np.empty(trials)
     for trial in range(trials):
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))

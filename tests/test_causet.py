@@ -279,6 +279,12 @@ class TestBoxOperator:
             with pytest.raises(ValueError, match="positive and finite"):
                 gravitational_action(chain(3), 2, ell)
 
+    def test_overflowing_length_power_names_scale_and_dimension(self):
+        with pytest.raises(ValueError, match="length scale 1e\\+160 to the power 2 .* dimension 2"):
+            box_operator(chain(3), 2, 1e160, np.ones(3), 2)
+        with pytest.raises(ValueError, match="to the power 2 .* dimension 4"):
+            gravitational_action(chain(3), 4, 1e300)
+
 
 class TestAbundancesAndAction:
     def test_antichain(self):

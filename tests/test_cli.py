@@ -97,10 +97,28 @@ class TestEnumerate:
         assert payload == {"chords": 2, "points": 6, "count": 48}
 
     def test_infeasible_size_exits_3(self):
-        code, _ = invoke(["enumerate", "--chords", "5", "--points", "10"])
+        # The enumeration guard binds only when the diagrams are listed.
+        code, _ = invoke(["enumerate", "--chords", "5", "--points", "10", "--list"])
         assert code == EXIT_INFEASIBLE
-        code, _ = invoke(["enumerate", "--chords", "2", "--points", "17"])
+        code, _ = invoke(["enumerate", "--chords", "2", "--points", "17", "--list"])
         assert code == EXIT_INFEASIBLE
+
+    def test_count_without_list_reads_the_series(self):
+        start = time.perf_counter()
+        code, text = invoke(["enumerate", "--chords", "4", "--points", "16"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert text == "chords,points,count\n4,16,17920\n"
+        code, text = invoke(["enumerate", "--chords", "5", "--points", "10"])
+        assert (code, text) == (EXIT_OK, "chords,points,count\n5,10,1024\n")  # 4**5
+
+    def test_series_window_guard_exits_3(self):
+        code, text, errors = invoke_with_errors(
+            ["enumerate", "--chords", "1000", "--points", "1000"]
+        )
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
 
 
 class TestVerify:
@@ -125,9 +143,23 @@ class TestVerify:
         assert by_index[2]["count_identity"] is True
         assert by_index[3]["count_identity"] is False
 
+    def test_default_grid_exits_1(self):
+        code, text = invoke(["verify"])
+        assert code == EXIT_VERIFY_MISMATCH
+        rows = json.loads(text)["results"]
+        assert [(r["dimension"], r["index"]) for r in rows] == [
+            (d, i) for d in (2, 3, 4) for i in range(1, d // 2 + 3)
+        ]
+        for r in rows:
+            assert set(r) == {"dimension", "index", "count_identity", "cancellation"}
+            assert r["count_identity"] is r["cancellation"] is (r["index"] <= 2)
+
     def test_guard_bounds_exit_3(self):
-        code, _ = invoke(["verify", "--dim", "4", "--max-i", "4"])
+        # (80, 2) needs a tally over the guard; (80, 1) is computed first.
+        code, text, errors = invoke_with_errors(["verify", "--dim", "80", "--max-i", "2"])
         assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
 
 
 class TestStrings:
@@ -229,6 +261,16 @@ class TestAction:
         assert text == ""
         assert_one_error_line(errors)
 
+    def test_overflowing_length_power_names_scale_and_dimension(self, tmp_path):
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(DIAMOND_JSON))
+        _, _, errors = invoke_with_errors(
+            ["action", "--input", str(path), "--dim", "4", "--ell", "1e300"]
+        )
+        assert errors == (
+            "error: length scale 1e+300 to the power 2 overflows a float in dimension 4\n"
+        )
+
 
 class TestSprinkle:
     def test_deterministic_json(self):
@@ -289,7 +331,7 @@ class TestSprinkle:
         assert text == ""
         assert_one_error_line(errors)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the error line speaks alone
     @pytest.mark.parametrize("field", ["mono:0,-1", "const:nan"])
     def test_non_finite_estimate_exit_2(self, field):
         code, text, errors = invoke_with_errors(
@@ -305,6 +347,41 @@ class TestSprinkle:
             ["sprinkle", "--dim", "2", "--density", "10", "--field", "wavelet:1"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--density", "1e9"],
+            ["--density", "10", "--trials", "1000000000000"],
+            ["--density", "1e308"],
+            ["--ell", "1e-100"],
+        ],
+    )
+    def test_over_budget_exits_3_before_allocating(self, flags, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array for an over-budget request")
+
+        monkeypatch.setattr("numpy.empty", refuse)
+        start = time.perf_counter()
+        code, text, errors = invoke_with_errors(["sprinkle", "--dim", "2", *flags])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "elements per trial" in errors and "trials" in errors
+
+    @pytest.mark.parametrize(
+        "dim,ell", [("2", "1e-300"), ("4", "1e-80")]
+    )
+    def test_overflowing_length_power_names_scale_and_dimension(self, dim, ell):
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", dim, "--ell", ell, "--trials", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert f"length scale {float(ell)} to the power -{dim} overflows" in errors
+        assert f"in dimension {dim}" in errors
 
 
 class TestPlumbing:

@@ -2,35 +2,52 @@
 
 Counts were frozen against the generating function (independent
 module) and, for the restricted classes, against hand-enumerated small
-cases.  Where the counting identity genuinely fails (layer index 3 —
-see the README's "Known deviations"), these tests pin the actual
-behavior; the acceptance suite asserts the identity itself and is
-honestly red there.
+cases.  The restricted count and the cancellation replay come from a
+tally that builds no diagram; ``diagram_oracle`` holds the
+diagram-by-diagram filter and replay it must equal.  Where the counting
+identity genuinely fails (layer index 3 — see the README's "Known
+deviations"), these tests pin the actual behavior; the acceptance suite
+asserts the identity itself and is honestly red there.
 """
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diagram_oracle as oracle
+from causetbox.coefficients import scaled_coefficient
 from causetbox.diagrams import (
     BLACK,
     BLUE,
+    MAX_CHORDS,
+    MAX_POINTS,
+    MAX_SERIES_CELLS,
+    MAX_TALLY_SIZE,
     RED,
     Chord,
     ChordDiagram,
     FeasibilityError,
-    consecutive_bare_before,
+    _tally,
+    _tally_size,
+    count_diagrams,
     count_restricted,
     enumerate_diagrams,
-    first_end_profile,
     inside_points,
-    is_in_restricted_class,
     is_valid_diagram,
     restricted_class_parameters,
     verify_cancellation,
     verify_coefficient_count,
+    verify_layer,
 )
 from causetbox.genseries import diagram_series
+from diagram_oracle import (
+    consecutive_bare_before,
+    first_end_profile,
+    is_in_restricted_class,
+)
 
 
 def diagram(points, *chords):
@@ -206,21 +223,42 @@ class TestVerifications:
     )
     def test_identity_holds_through_second_layer(self, d, i):
         assert verify_coefficient_count(d, i)
+        assert verify_layer(d, i) == (True, verify_cancellation(d, i))
 
-    @pytest.mark.parametrize("d,i,count", [(2, 3, 20), (3, 3, 42)])
+    @pytest.mark.parametrize(
+        "d,i,count",
+        [
+            (2, 3, 20),
+            (3, 3, 42),
+            (4, 3, 1112),
+            (4, 4, 656),  # 18 points: over the enumeration guard, not the tally's
+            (5, 3, 1920),
+            (6, 4, 54900),
+            (7, 5, 47698),
+            (8, 6, 1351392),
+        ],
+    )
     def test_identity_fails_at_third_layer(self, d, i, count):
-        # Pinned actual behavior: the restricted class is strictly larger
-        # than the coefficient magnitude at index 3 (README, "Known
-        # deviations"); the acceptance suite asserts the identity itself.
+        # Pinned actual behavior: from index 3 on, the restricted class is
+        # strictly larger than the coefficient magnitude and the replay
+        # leaves off-class diagrams (README, "Known deviations"); the
+        # acceptance suite asserts the identity itself.
         n, m, gap, place = restricted_class_parameters(d, i)
         assert count_restricted(n, m, gap, place) == count
+        assert count > abs(scaled_coefficient(d, i))
         assert verify_coefficient_count(d, i) is False
+        assert verify_cancellation(d, i) is False
+        assert verify_layer(d, i) == (False, False)
 
     def test_guard_raises_not_skips(self):
+        # (14, 9) is the first top layer over the tally's guard.
+        assert _tally_size(*restricted_class_parameters(14, 9)) > MAX_TALLY_SIZE
         with pytest.raises(FeasibilityError):
-            verify_coefficient_count(4, 4)
+            verify_coefficient_count(14, 9)
         with pytest.raises(FeasibilityError):
-            verify_cancellation(4, 4)
+            verify_cancellation(14, 9)
+        with pytest.raises(FeasibilityError):
+            verify_layer(14, 9)
 
     @pytest.mark.parametrize("d,i", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
     def test_cancellation_collapses(self, d, i):
@@ -228,3 +266,92 @@ class TestVerifications:
 
     def test_cancellation_fails_where_identity_fails(self):
         assert verify_cancellation(2, 3) is False
+
+
+def in_guard_windows():
+    """Every (n, m) window inside the enumeration guard except the four
+    largest, 4 chords on 13 to 16 points (6006 to 17920 diagrams, which
+    the oracle builds one by one); the cancellation cells below reach 14
+    and 15 of them."""
+    return [
+        (n, m)
+        for n in range(MAX_CHORDS + 1)
+        for m in range(1, MAX_POINTS + 1)
+        if n < 4 or m <= 12
+    ]
+
+
+# Every (d, i) whose replay stays inside the enumeration guard.
+IN_GUARD_CELLS = [
+    (d, i)
+    for d in range(2, 8)
+    for i in range(1, d // 2 + 3)
+    if restricted_class_parameters(d, i)[0] <= MAX_CHORDS
+    and restricted_class_parameters(d, i)[1] <= MAX_POINTS
+]
+
+
+class TestEngineMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=st.sampled_from(in_guard_windows()),
+        gap=st.integers(1, 6),
+        place=st.integers(0, 5),
+    )
+    def test_count_restricted(self, window, gap, place):
+        n, m = window
+        assert count_restricted(n, m, gap, place) == oracle.count_restricted(
+            n, m, gap, place
+        )
+
+    def test_in_guard_cells(self):
+        assert len(IN_GUARD_CELLS) == 16
+        assert (7, 2) in IN_GUARD_CELLS and (4, 4) not in IN_GUARD_CELLS
+
+    @pytest.mark.parametrize("d,i", IN_GUARD_CELLS)
+    def test_cancellation_cells(self, d, i):
+        n, m, gap, place = restricted_class_parameters(d, i)
+        tally = _tally(n, m, gap, place)
+        assert tally == oracle.cancellation_tally(d, i)
+        assert verify_cancellation(d, i) == oracle.verify_cancellation(d, i)
+        assert count_restricted(n, m, gap, place) == oracle.count_restricted(
+            n, m, gap, place
+        )
+
+    def test_tally_counts_every_diagram(self):
+        window = diagram_series(5, 20)
+        for n in range(6):
+            for m in range(1, 21):
+                total = sum(_tally(n, m, 3, 2).values())
+                assert total == window.coefficient(n, m), (n, m)
+
+    def test_tally_rejects_bad_bounds(self):
+        with pytest.raises(ValueError):
+            count_restricted(2, 6, 0, 1)
+        with pytest.raises(ValueError):
+            count_restricted(2, 6, 2, -1)
+        with pytest.raises(ValueError):
+            count_restricted(-1, 6, 2, 1)
+        with pytest.raises(ValueError):
+            count_restricted(2, 0, 2, 1)
+        assert count_restricted(3, 5, 2, 1) == 0
+
+
+class TestCountDiagrams:
+    def test_equals_enumeration(self):
+        for n, m in [(0, 1), (1, 2), (2, 3), (2, 7), (3, 10), (4, 12)]:
+            assert count_diagrams(n, m) == len(oracle.enumerated(n, m)), (n, m)
+
+    def test_beyond_the_enumeration_guard_in_milliseconds(self):
+        start = time.perf_counter()
+        assert count_diagrams(4, 16) == 17920
+        assert count_diagrams(5, 17) == diagram_series(5, 17).coefficient(5, 17)
+        assert time.perf_counter() - start < 1.0
+
+    def test_guard_and_bad_arguments(self):
+        with pytest.raises(FeasibilityError):
+            count_diagrams(MAX_SERIES_CELLS, 1)
+        with pytest.raises(ValueError):
+            count_diagrams(-1, 4)
+        with pytest.raises(ValueError):
+            count_diagrams(0, 0)

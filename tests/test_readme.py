@@ -58,3 +58,20 @@ def test_quick_tour_runs_and_matches_its_comments():
         9,
         -12.0,
     ]
+
+
+def test_known_deviation_table_matches_the_tally():
+    from causetbox.coefficients import scaled_coefficient
+    from causetbox.diagrams import count_restricted, restricted_class_parameters
+
+    rows = re.findall(
+        r"^\s*\|\s*(\d+)\s*\|\s*(\d+)\s*\|\s*(\d+)\s*\|\s*(\d+)\s*\|$",
+        README.read_text(),
+        re.MULTILINE,
+    )
+    cells = [(d, i) for d in range(2, 9) for i in range(3, d // 2 + 3)]
+    assert [(int(d), int(i)) for d, i, _, _ in rows] == cells
+    for d, i, count, magnitude in rows:
+        d, i = int(d), int(i)
+        assert int(count) == count_restricted(*restricted_class_parameters(d, i))
+        assert int(magnitude) == abs(scaled_coefficient(d, i))

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causetbox.causet import CausalSet, from_relations
+from causetbox.coefficients import FeasibilityError
 from causetbox.sprinkling import (
+    MAX_ESTIMATE_BYTES,
     ConstantField,
     DiamondConfig,
     MonomialField,
     TableField,
+    _check_budget,
     boost_coords,
     causal_matrix,
     diamond_volume,
@@ -248,6 +251,28 @@ class TestEstimateBox:
         config = DiamondConfig(dimension=2, density=10.0, half_height=1.0, seed=1)
         with pytest.raises(ValueError):
             estimate_box(config, ConstantField(1.0), 0)
+
+    @pytest.mark.parametrize(
+        "density, trials", [(1e9, 1), (10.0, 10**12), (1e308, 1), (1e4, 1)]
+    )
+    def test_budget_refuses_before_allocating(self, density, trials, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array for an over-budget request")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        config = DiamondConfig(dimension=2, density=density, half_height=1.0, seed=1)
+        with pytest.raises(FeasibilityError, match="elements per trial"):
+            estimate_box(config, ConstantField(1.0), trials)
+
+    def test_budget_bound(self):
+        # 8 (d + 1) bytes per ordered pair of the expected N plus the tip,
+        # plus 8 per trial: at d = 2, 9000 elements fit and 10000 do not.
+        assert 24 * 9000**2 < MAX_ESTIMATE_BYTES < 24 * 10000**2
+        inside = DiamondConfig(dimension=2, density=8999 / 2, half_height=1.0, seed=1)
+        outside = DiamondConfig(dimension=2, density=9999 / 2, half_height=1.0, seed=1)
+        _check_budget(inside, 100)
+        with pytest.raises(FeasibilityError):
+            _check_budget(outside, 1)
 
     @pytest.mark.parametrize(
         "config, spec, trials, expected",
