@@ -7,7 +7,8 @@ string/path counts), ``action`` (gravitational action of a causal set
 file), and ``sprinkle`` (Monte Carlo box-operator estimates).
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid arguments,
-3 infeasible size (an enumeration, a tally or a sprinkle over its guard).
+3 infeasible size (an enumeration, a tally or a sprinkle over its guard),
+4 internal error (any other exception, reported on one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -144,7 +146,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_strings(args: argparse.Namespace) -> int:
-    count = evenstrings.count_constrained_strings(args.dim, args.i)
+    if args.list:
+        strings = list(evenstrings.enumerate_constrained_strings(args.dim, args.i))
+        count = len(strings)
+    else:
+        count = evenstrings.count_constrained_strings(args.dim, args.i)
     paths = evenstrings.count_constrained_paths(args.dim, args.i)
     payload = {
         "dimension": args.dim,
@@ -153,9 +159,7 @@ def _cmd_strings(args: argparse.Namespace) -> int:
         "path_count": paths,
     }
     if args.list:
-        payload["strings"] = list(
-            evenstrings.enumerate_constrained_strings(args.dim, args.i)
-        )
+        payload["strings"] = strings
     if (args.format or "csv") == "csv":
         text = _csv_text(
             [[args.dim, args.i, count, paths]],
@@ -298,6 +302,10 @@ def run(argv: list[str] | None = None) -> int:
     except (_CliError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of the input
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

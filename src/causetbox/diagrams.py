@@ -22,13 +22,19 @@ behind the identity.  Both report honestly: the identity is *false*
 from layer index 3 on (see the README's "Known deviations"), and the
 functions return ``False`` there rather than papering over it.
 
-:func:`enumerate_diagrams` builds every diagram and is guarded to small
-sizes.  The counts and the replay build none: a valid diagram is a word
-of bare points and blocks (see :func:`_tally`), the class and the
-replay depend only on the word's profile, and a transfer-matrix tally
-over the word (Stanley, *Enumerative Combinatorics* I, §4.7) counts the
-diagrams by profile class.  ``tests/diagram_oracle.py`` keeps the
-diagram-by-diagram filter and replay that the tally must equal.
+A valid diagram is a word of bare points and blocks: a low block is a
+red/blue chord with its first end at the low endpoint around a black
+noncrossing matching, and a word may sit inside one wrap block, whose
+first end is its high endpoint and whose black matching lies on the arc
+outside it.  :func:`enumerate_diagrams` generates these words directly,
+so its work is proportional to the diagrams it returns; it is guarded
+to small sizes because it returns them all.  The counts and the replay
+build none: the class and the replay depend only on the word's profile,
+and a transfer-matrix tally over the word (Stanley, *Enumerative
+Combinatorics* I, §4.7) counts the diagrams by profile class.
+``tests/diagram_oracle.py`` keeps the brute-force enumeration, and the
+diagram-by-diagram filter and replay, that the generator and the tally
+must equal.
 """
 
 from __future__ import annotations
@@ -211,85 +217,64 @@ def _noncrossing_matchings(
                 yield ((first, partner),) + inner_match + outer_match
 
 
+def _words(start: int, stop: int, n_chords: int) -> Iterator[list[tuple]]:
+    """Words of bare points and low blocks on points ``start..stop-1``
+    holding ``n_chords`` chords: lists of black ``(low, high)`` and
+    red/blue ``(low, high, first_end)`` chords."""
+    if stop - start > 2 * n_chords:
+        yield from _words(start + 1, stop, n_chords)  # a bare point at start
+    elif not n_chords:
+        yield []
+    for width in range(1, min(n_chords, (stop - start) // 2) + 1):
+        high = start + 2 * width - 1
+        for inner in _noncrossing_matchings(tuple(range(start + 1, high))):
+            for rest in _words(high + 1, stop, n_chords - width):
+                yield [(start, high, start), *inner, *rest]
+
+
+def _shapes(n_chords: int, n_points: int) -> Iterator[list[tuple]]:
+    """Valid diagrams before red/blue coloring: a word on all the points,
+    or one wrap block (first end at its high endpoint, a black matching
+    on the arc outside it, which the root cuts at one of ``2(w-1) + 1``
+    places) around a word on its span."""
+    yield from _words(1, n_points + 1, n_chords)
+    for width in range(1, min(n_chords, n_points // 2) + 1):
+        outer = 2 * (width - 1)
+        for low in range(1, outer + 2):
+            high = n_points - outer + low - 1
+            arc = (*range(1, low), *range(high + 1, n_points + 1))
+            for outside in _noncrossing_matchings(arc):
+                for word in _words(low + 1, high, n_chords - width):
+                    yield [(low, high, high), *outside, *word]
+
+
 def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
     """All valid diagrams with ``n_chords`` chords on ``n_points`` points.
 
-    Walks every noncrossing pairing (support choice x recursive
-    matching), then every black/red/blue shape with first ends, using
-    bitmask region tests so that only valid shapes are materialized;
-    red/blue recolorings are expanded last.  Returns a sorted list;
-    its length equals the generating-function coefficient at
-    ``x**n_chords * y**n_points``.  ``n_points < 2 * n_chords`` yields
+    Builds only valid diagrams, as block words (see :func:`_shapes`),
+    expands each over the red/blue colorings of its blocks, and sorts
+    the chord tuples ``(low, high, color, first_end)`` once.  Returns a
+    sorted list; its length equals the generating-function coefficient
+    at ``x**n_chords * y**n_points``.  ``n_points < 2 * n_chords`` yields
     no diagrams and returns the empty list.  Sizes beyond the guard
     (``MAX_CHORDS`` chords, ``MAX_POINTS`` points) raise
     :class:`FeasibilityError` rather than running unbounded.
     """
     _check_sizes(n_chords, n_points)
     _check_feasible(n_chords, n_points)
-    if n_points < 2 * n_chords:
-        return []
-    if n_chords == 0:
-        return [ChordDiagram(points=n_points, chords=())]
-
-    full_mask = (1 << n_points) - 1
-    results: list[ChordDiagram] = []
-    # Chord states: 0 = black, 1 = red/blue with first end at the low
-    # endpoint (inside is the linear span), 2 = first end at the high
-    # endpoint (inside wraps around the root).
-    states_iter = list(itertools.product(range(3), repeat=n_chords))
-    for support in itertools.combinations(range(1, n_points + 1), 2 * n_chords):
-        for matching in _noncrossing_matchings(support):
-            end_masks = []
-            region_masks = []  # per chord: (inside if first end low, if high)
-            for low, high in matching:
-                ends = (1 << (low - 1)) | (1 << (high - 1))
-                span_inside = ((1 << (high - 1)) - 1) & ~((1 << low) - 1)
-                wrap_inside = full_mask & ~span_inside & ~ends
-                end_masks.append(ends)
-                region_masks.append((span_inside, wrap_inside))
-            for states in states_iter:
-                black_mask = 0
-                insides = []
-                for chord_index, state in enumerate(states):
-                    if state == 0:
-                        black_mask |= end_masks[chord_index]
-                    else:
-                        insides.append(region_masks[chord_index][state - 1])
-                if not insides:
-                    continue  # with n >= 1 chords, all-black is never valid
-                union_inside = 0
-                valid = True
-                for inside in insides:
-                    if inside & ~black_mask:
-                        valid = False
-                        break
-                    union_inside |= inside
-                if not valid or black_mask & ~union_inside:
-                    continue
-                colored_indices = [t for t, s in enumerate(states) if s != 0]
-                for colors in itertools.product(
-                    (RED, BLUE), repeat=len(colored_indices)
-                ):
-                    chords = []
-                    color_pick = dict(zip(colored_indices, colors))
-                    for chord_index, (low, high) in enumerate(matching):
-                        state = states[chord_index]
-                        if state == 0:
-                            chords.append(Chord(low, high, BLACK))
-                        else:
-                            chords.append(
-                                Chord(
-                                    low,
-                                    high,
-                                    color_pick[chord_index],
-                                    first_end=low if state == 1 else high,
-                                )
-                            )
-                    results.append(
-                        ChordDiagram(points=n_points, chords=tuple(sorted(chords)))
-                    )
-    results.sort()
-    return results
+    keys = []
+    for shape in _shapes(n_chords, n_points):
+        shape.sort()  # by low endpoint, which no two chords share
+        blocks = sum(len(chord) == 3 for chord in shape)
+        for colors in itertools.product((RED, BLUE), repeat=blocks):
+            color = iter(colors)
+            keys.append(tuple(
+                (low, high, next(color), *first) if first else (low, high, BLACK, None)
+                for low, high, *first in shape
+            ))
+    keys.sort()
+    shared = {t: Chord(*t) for t in set(itertools.chain.from_iterable(keys))}
+    return [ChordDiagram(n_points, tuple(map(shared.__getitem__, key))) for key in keys]
 
 
 def count_diagrams(n_chords: int, n_points: int) -> int:

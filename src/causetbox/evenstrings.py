@@ -17,7 +17,6 @@ instead of enumeration).
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Iterator
@@ -40,7 +39,8 @@ __all__ = [
 MAX_FIBER_CHORDS = 3
 MAX_FIBER_LENGTH = 5
 #: Feasibility guard for string enumeration: the number of placements of
-#: the ones that are tried.  d = 10, i = 7 needs 1,947,792 of them.
+#: the ones, an upper bound on the strings generated.  d = 10, i = 7 has
+#: 1,947,792 placements, of which 15,625 are valid strings.
 MAX_STRING_CANDIDATES = 2_000_000
 
 
@@ -91,37 +91,33 @@ def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
 
     Strings have ``dimension/2 + 1`` ones and ``dimension*(index-1)/2``
     zeros; each of the first ``index - 1`` ones must be preceded by
-    fewer than ``dimension/2`` consecutive zeros.  Zero runs are
-    counted from the left end of the string (a leading one has an empty
-    run before it).  Every placement of the ones is tried, so more than
-    ``MAX_STRING_CANDIDATES`` placements raise :class:`FeasibilityError`
-    before the first is generated.
+    fewer than ``dimension/2`` consecutive zeros, counted from the left
+    end of the string.  Only valid strings are built, by choosing the
+    zero run before each one in ascending order (the trailing run takes
+    the rest), so they come in the order of their one positions.  More
+    than ``MAX_STRING_CANDIDATES`` placements of the ones, an upper
+    bound on the strings, raise :class:`FeasibilityError` at once.
     """
     _check_even_dimension(dimension)
     _check_index(dimension, index)
     ones = dimension // 2 + 1
     zeros = dimension * (index - 1) // 2
-    length = ones + zeros
-    candidates = math.comb(length, ones)
+    candidates = math.comb(ones + zeros, ones)
     if candidates > MAX_STRING_CANDIDATES:
         raise FeasibilityError(
             f"string enumeration too large: {candidates} candidate strings for "
             f"d={dimension}, i={index} (guard: <= {MAX_STRING_CANDIDATES})"
         )
-    max_run = dimension // 2
-    for positions in itertools.combinations(range(length), ones):
-        previous = -1
-        ok = True
-        for which, position in enumerate(positions):
-            if which < index - 1 and position - previous - 1 >= max_run:
-                ok = False
-                break
-            previous = position
-        if ok:
-            bits = ["0"] * length
-            for position in positions:
-                bits[position] = "1"
-            yield "".join(bits)
+
+    def extend(prefix: str, placed: int, zeros_left: int) -> Iterator[str]:
+        if placed == ones:
+            yield prefix + "0" * zeros_left
+            return
+        top = min(zeros_left, dimension // 2 - 1) if placed < index - 1 else zeros_left
+        for run in range(top + 1):
+            yield from extend(prefix + "0" * run + "1", placed + 1, zeros_left - run)
+
+    return extend("", 0, zeros)
 
 
 def count_constrained_strings(dimension: int, index: int) -> int:

@@ -1,13 +1,17 @@
-"""The diagram-level restricted class and cancellation replay, kept as test oracles.
+"""Brute-force diagram enumeration, restricted class and cancellation replay, kept as test oracles.
 
-``causetbox.diagrams`` answers ``count_restricted`` and
-``verify_cancellation`` from a tally over block words, without building a
-diagram.  The functions here answer the same questions the slow way: they
-enumerate every diagram with ``enumerate_diagrams``, read each one's
-first-end profile and bare runs off its chords, filter it, and replay the
-signed insertion multisets diagram by diagram in a ``Counter``.  The
-engine must equal them wherever they can run.  Enumerations are cached,
-because the same windows recur across the oracles and the tests.
+``causetbox.diagrams`` generates the valid diagrams as block words, and
+answers ``count_restricted`` and ``verify_cancellation`` from a tally
+over those words without building a diagram.  The functions here answer
+the same questions the slow way.  :func:`brute_force_diagrams` walks
+every support, noncrossing matching and colour state and keeps the
+valid ones.  The restricted-class oracles read each diagram's first-end
+profile and bare runs off its chords, filter it, and replay the signed
+insertion multisets diagram by diagram in a ``Counter``.  The engines
+must equal them wherever they can run.  Enumerations are cached, because
+the same windows recur across the oracles and the tests; they use the
+fast generator, which ``test_diagrams`` checks against
+:func:`brute_force_diagrams`.
 """
 
 from __future__ import annotations
@@ -20,14 +24,92 @@ from typing import Iterable
 
 from causetbox.diagrams import (
     BLACK,
+    BLUE,
+    RED,
     Chord,
     ChordDiagram,
+    _noncrossing_matchings,
     enumerate_diagrams,
     inside_points,
     restricted_class_parameters,
 )
 
 enumerated = functools.cache(enumerate_diagrams)
+
+
+def brute_force_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
+    """All valid diagrams, sorted, by filtering every candidate.
+
+    Walks every noncrossing pairing (support choice x recursive
+    matching), then every black/red/blue shape with first ends, using
+    bitmask region tests so that only valid shapes are materialized;
+    red/blue recolorings are expanded last.  No size guard: callers
+    keep the window small.
+    """
+    if n_points < 2 * n_chords:
+        return []
+    if n_chords == 0:
+        return [ChordDiagram(points=n_points, chords=())]
+
+    full_mask = (1 << n_points) - 1
+    results: list[ChordDiagram] = []
+    # Chord states: 0 = black, 1 = red/blue with first end at the low
+    # endpoint (inside is the linear span), 2 = first end at the high
+    # endpoint (inside wraps around the root).
+    states_iter = list(itertools.product(range(3), repeat=n_chords))
+    for support in itertools.combinations(range(1, n_points + 1), 2 * n_chords):
+        for matching in _noncrossing_matchings(support):
+            end_masks = []
+            region_masks = []  # per chord: (inside if first end low, if high)
+            for low, high in matching:
+                ends = (1 << (low - 1)) | (1 << (high - 1))
+                span_inside = ((1 << (high - 1)) - 1) & ~((1 << low) - 1)
+                wrap_inside = full_mask & ~span_inside & ~ends
+                end_masks.append(ends)
+                region_masks.append((span_inside, wrap_inside))
+            for states in states_iter:
+                black_mask = 0
+                insides = []
+                for chord_index, state in enumerate(states):
+                    if state == 0:
+                        black_mask |= end_masks[chord_index]
+                    else:
+                        insides.append(region_masks[chord_index][state - 1])
+                if not insides:
+                    continue  # with n >= 1 chords, all-black is never valid
+                union_inside = 0
+                valid = True
+                for inside in insides:
+                    if inside & ~black_mask:
+                        valid = False
+                        break
+                    union_inside |= inside
+                if not valid or black_mask & ~union_inside:
+                    continue
+                colored_indices = [t for t, s in enumerate(states) if s != 0]
+                for colors in itertools.product(
+                    (RED, BLUE), repeat=len(colored_indices)
+                ):
+                    chords = []
+                    color_pick = dict(zip(colored_indices, colors))
+                    for chord_index, (low, high) in enumerate(matching):
+                        state = states[chord_index]
+                        if state == 0:
+                            chords.append(Chord(low, high, BLACK))
+                        else:
+                            chords.append(
+                                Chord(
+                                    low,
+                                    high,
+                                    color_pick[chord_index],
+                                    first_end=low if state == 1 else high,
+                                )
+                            )
+                    results.append(
+                        ChordDiagram(points=n_points, chords=tuple(sorted(chords)))
+                    )
+    results.sort()
+    return results
 
 
 @dataclass(frozen=True)

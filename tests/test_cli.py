@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+from causetbox import evenstrings
 from causetbox.cli import (
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_MISMATCH,
@@ -167,6 +169,21 @@ class TestStrings:
         code, text = invoke(["strings", "--dim", "2", "--i", "2", "--list"])
         assert code == EXIT_OK
         assert text == "d,i,string_count,path_count\n2,2,2,2\n110\n101\n"
+
+    def test_list_takes_the_count_from_the_list(self, monkeypatch):
+        calls = []
+        generate = evenstrings.enumerate_constrained_strings
+
+        def counted(dimension, index):
+            calls.append((dimension, index))
+            return generate(dimension, index)
+
+        monkeypatch.setattr(evenstrings, "enumerate_constrained_strings", counted)
+        monkeypatch.setattr(evenstrings, "count_constrained_strings", None)
+        code, text = invoke(["strings", "--dim", "4", "--i", "2", "--list"])
+        assert code == EXIT_OK
+        assert text.startswith("d,i,string_count,path_count\n4,2,9,9\n")
+        assert calls == [(4, 2)]
 
     def test_json(self):
         code, text = invoke(["strings", "--dim", "4", "--i", "3", "--format", "json"])
@@ -404,3 +421,14 @@ class TestPlumbing:
             code = run(["--help"])
         assert code == EXIT_OK
         assert "coeffs" in buffer.getvalue()
+
+    def test_any_other_exception_exits_4_with_one_error_line(self, monkeypatch):
+        def fail(dimension, index):
+            raise RuntimeError("unexpected\nfailure")
+
+        monkeypatch.setattr(evenstrings, "count_constrained_paths", fail)
+        code, text, errors = invoke_with_errors(["strings", "--dim", "2", "--i", "1"])
+        assert code == EXIT_INTERNAL == 4
+        assert text == ""
+        assert_one_error_line(errors)
+        assert errors == "error: internal error: RuntimeError: unexpected failure\n"

@@ -2,7 +2,9 @@
 
 Counts were frozen against the generating function (independent
 module) and, for the restricted classes, against hand-enumerated small
-cases.  The restricted count and the cancellation replay come from a
+cases.  The enumeration generates block words; ``diagram_oracle`` holds
+the brute-force filter over every candidate that it must equal, order
+included.  The restricted count and the cancellation replay come from a
 tally that builds no diagram; ``diagram_oracle`` holds the
 diagram-by-diagram filter and replay it must equal.  Where the counting
 identity genuinely fails (layer index 3 — see the README's "Known
@@ -158,6 +160,25 @@ class TestEnumeration:
                 groups[key] = groups.get(key, 0) + 1
             expected = 2 if (n, m) == (1, 2) else 1
             assert set(groups.values()) == {expected}, (n, m, groups)
+
+
+class TestGeneratorMatchesBruteForce:
+    @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
+    def test_equals_brute_force_in_order(self, n):
+        for m in range(1, 13):
+            assert enumerate_diagrams(n, m) == oracle.brute_force_diagrams(n, m), (n, m)
+
+    @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
+    def test_every_generated_diagram_is_valid(self, n):
+        for m in range(1, MAX_POINTS + 1):
+            elements = enumerate_diagrams(n, m)
+            assert all(is_valid_diagram(e) for e in elements), (n, m)
+            assert len(set(elements)) == len(elements), (n, m)
+
+    def test_largest_window_in_a_fraction_of_a_second(self):
+        start = time.perf_counter()
+        assert len(enumerate_diagrams(MAX_CHORDS, MAX_POINTS)) == 17920
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBareRuns:

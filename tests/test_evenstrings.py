@@ -2,9 +2,12 @@
 
 String counts were frozen by exhaustive enumeration and verified to
 equal the layer-coefficient magnitudes; the path counts come from an
-independent dynamic program.
+independent dynamic program.  The generator builds only valid strings;
+:func:`brute_force_strings` filters every placement of the ones and is
+the oracle it must equal, order included.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +23,28 @@ from causetbox.evenstrings import (
     fiber_sizes,
     odd_point_string,
 )
+
+
+def brute_force_strings(dimension, index):
+    """The constrained strings, by trying every placement of the ones in
+    ``itertools.combinations`` order."""
+    ones = dimension // 2 + 1
+    zeros = dimension * (index - 1) // 2
+    length = ones + zeros
+    max_run = dimension // 2
+    for positions in itertools.combinations(range(length), ones):
+        previous = -1
+        ok = True
+        for which, position in enumerate(positions):
+            if which < index - 1 and position - previous - 1 >= max_run:
+                ok = False
+                break
+            previous = position
+        if ok:
+            bits = ["0"] * length
+            for position in positions:
+                bits[position] = "1"
+            yield "".join(bits)
 
 
 def diagram(points, *chords):
@@ -98,6 +123,19 @@ class TestConstrainedStrings:
             strings = count_constrained_strings(d, i)
             assert Fraction(strings) == (-1) ** (i - 1) * layer_coefficient(d, i)
             assert count_constrained_paths(d, i) == strings
+
+
+class TestGeneratorMatchesBruteForce:
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_equals_brute_force_in_order(self, d):
+        for i in range(1, d // 2 + 3):
+            generated = list(enumerate_constrained_strings(d, i))
+            assert generated == list(brute_force_strings(d, i)), (d, i)
+            assert count_constrained_strings(d, i) == len(generated)
+
+    def test_guard_is_checked_before_generating(self):
+        with pytest.raises(FeasibilityError):
+            enumerate_constrained_strings(12, 8)
 
 
 class TestUnconstrainedBridge:
