@@ -13,19 +13,36 @@ with the exact coefficients from :mod:`causetbox.coefficients`:
 Summing the operator applied to the constant field recovers the
 gravitational action up to the ``-ell**(d-2) * ell**2`` prefactor; that
 consistency is one of the package's acceptance checks.
+
+Every all-pairs count comes from one *interval pass*, the product
+``P @ P`` taken in float32 row blocks: on a closed order its entry
+``[a, b]`` counts the elements strictly between ``a < b``.  A float32 sum
+of 0/1 products is exact below 2**24, far above any element count the
+memory budget admits.  One pass gives both the pairs a closure step would
+still add and the interval histogram (entry ``k`` counts the related
+pairs with ``k`` elements strictly between them).  A causal set runs the
+pass once when it is built (:func:`from_relations` hands over the pass
+that closed its relation) and keeps the histogram, from which
+:func:`interval_abundances` reads ``N_i`` without another product.  The
+pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and one
+block of ``_BLOCK_ROWS x N`` products; a size whose arrays would exceed
+``MAX_ARRAY_BYTES`` raises :class:`~causetbox.coefficients.FeasibilityError`
+before anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .coefficients import (
+    FeasibilityError,
     alpha_over_beta,
     coefficient_table,
     num_layers,
@@ -43,7 +60,16 @@ __all__ = [
     "box_operator",
     "interval_abundances",
     "gravitational_action",
+    "MAX_ARRAY_BYTES",
 ]
+
+#: Memory budget of one causal-set computation (the interval pass here,
+#: a Monte Carlo estimate in :mod:`causetbox.sprinkling`), checked
+#: before allocating.
+MAX_ARRAY_BYTES = 2**31
+
+#: Rows of the order multiplied at once by the interval pass.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -53,13 +79,18 @@ class CausalSet:
     ``precedes`` is an ``N x N`` boolean matrix that must be
     irreflexive, antisymmetric, and transitively closed; ``coords``
     (when present) holds one row of spacetime coordinates per element,
-    time first.
+    time first.  Building one runs the interval pass once, for the
+    transitivity check, and keeps its histogram for
+    :func:`interval_abundances`.
     """
 
     precedes: np.ndarray
     coords: np.ndarray | None = None
+    _histogram: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    # the histogram of a pass that added nothing, handed over by from_relations
+    _closed_histogram: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _closed_histogram: np.ndarray | None) -> None:
         matrix = np.array(self.precedes, dtype=bool)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("relation matrix must be square")
@@ -67,10 +98,15 @@ class CausalSet:
             raise ValueError("relation has a cycle (some a < a): not a poset")
         if (matrix & matrix.T).any():
             raise ValueError("relation has a cycle (some a < b < a): not a poset")
-        if ((_interiors(matrix) > 0) & ~matrix).any():
-            raise ValueError("relation must be transitively closed")
+        histogram = _closed_histogram
+        if histogram is None:
+            grew, histogram = _interval_pass(matrix)
+            if grew:
+                raise ValueError("relation must be transitively closed")
         matrix.setflags(write=False)
+        histogram.setflags(write=False)
         object.__setattr__(self, "precedes", matrix)
+        object.__setattr__(self, "_histogram", histogram)
         if self.coords is not None:
             coords = np.array(self.coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != matrix.shape[0]:
@@ -118,11 +154,42 @@ class ActionReport:
         )
 
 
-def _interiors(precedes: np.ndarray) -> np.ndarray:
-    """``B = P @ P``: on a closed order, ``B[a, b]`` counts the elements
-    strictly between ``a < b``.  float64 counts are exact up to 2**53."""
-    as_float = precedes.astype(np.float64)
-    return as_float @ as_float
+def _check_pass_budget(n_elements: int) -> None:
+    """Refuse an interval pass whose arrays would not fit ``MAX_ARRAY_BYTES``:
+    the ``N x N`` bool order, its float32 copy and one float32 block."""
+    n = int(n_elements)  # a Python int: a numpy count could wrap in the product
+    if 5 * n * n + 4 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
+        raise FeasibilityError(
+            f"causal set too large: {n_elements} elements (the interval pass holds "
+            f"about 5*N*N bytes; guard: <= {MAX_ARRAY_BYTES} bytes)"
+        )
+
+
+def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
+    """One pass of ``B = P @ P`` over the bool matrix ``order``.
+
+    Adds to ``order``, in place, every pair ``a < b`` implied by some
+    ``a < c < b`` (one closure step), and returns whether it added any,
+    with the histogram of ``B`` over the related pairs: entry ``k`` counts
+    the pairs ``a < b`` with ``k`` elements strictly between them, which
+    holds when nothing was added.  ``B`` is formed in float32 blocks of
+    ``_BLOCK_ROWS`` rows (exact below 2**24), so besides ``order`` the
+    pass holds one ``N x N`` float32 copy and one block.
+    """
+    n_elements = order.shape[0]
+    _check_pass_budget(n_elements)
+    operand = order.astype(np.float32)
+    histogram = np.zeros(n_elements + 1, dtype=np.int64)  # a cycle can reach N
+    grew = False
+    for start in range(0, n_elements, _BLOCK_ROWS):
+        rows = order[start : start + _BLOCK_ROWS]  # a view: the update writes through
+        between = operand[start : start + _BLOCK_ROWS] @ operand
+        histogram += np.bincount(between[rows].astype(np.int64), minlength=n_elements + 1)
+        added = (between > 0) & ~rows
+        if added.any():
+            grew = True
+            rows |= added
+    return grew, histogram
 
 
 def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,13 +209,19 @@ def _check_integers(values: list, what: str) -> None:
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:
     """Build a causal set from any generating set of relations.
 
-    Transitive closure is applied; a cycle (including ``a < a``), a
+    Transitive closure is applied by interval passes until one adds
+    nothing; that last pass is handed to the causal set, which then
+    validates without another product.  A cycle (including ``a < a``), a
     relation that is not a pair of integers, or a non-integer element
-    count raises ``ValueError``.
+    count raises ``ValueError``; an element count whose pass would exceed
+    ``MAX_ARRAY_BYTES`` raises
+    :class:`~causetbox.coefficients.FeasibilityError` before any array is
+    allocated.
     """
     _check_integers([n_elements], "element count")
     if n_elements < 0:
         raise ValueError("element count must be >= 0")
+    _check_pass_budget(n_elements)
     ends: list = []
     try:
         for a, b in pairs:
@@ -162,9 +235,10 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
         raise ValueError(f"relation ({a}, {b}) out of range 0..{n_elements - 1}")
     closure = np.zeros((n_elements, n_elements), dtype=bool)
     closure[ends[::2], ends[1::2]] = True
-    while (reached := (_interiors(closure) > 0) & ~closure).any():
-        closure |= reached
-    return CausalSet(precedes=closure)
+    grew = True
+    while grew:
+        grew, histogram = _interval_pass(closure)
+    return CausalSet(closure, _closed_histogram=histogram)
 
 
 def load_causal_set(source: str | Path | dict) -> CausalSet:
@@ -261,12 +335,12 @@ def box_operator(
 
 def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     """``N_1 .. N_max_i`` where ``N_i`` counts related pairs with
-    closed-interval size ``i + 1``."""
+    closed-interval size ``i + 1``, read off the histogram the causal set
+    kept from its interval pass (no product is taken)."""
     if max_i < 1:
         raise ValueError(f"max_i must be >= 1, got {max_i}")
-    relation = causal_set.precedes
-    between = _interiors(relation)[relation].astype(np.int64)  # N_i counts between == i - 1
-    return tuple(np.bincount(between, minlength=max_i)[:max_i].tolist())
+    counts = causal_set._histogram[:max_i].tolist()  # N_i counts between == i - 1
+    return tuple(counts + [0] * (max_i - len(counts)))
 
 
 def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: float) -> ActionReport:

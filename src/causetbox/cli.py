@@ -117,10 +117,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_i is not None and args.max_i < 1:
+        raise _CliError(f"--max-i must be >= 1, got {args.max_i}: no layer would be checked")
     results = []
     all_ok = True
     for dim in args.dims:
-        top = dim // 2 + 2
+        top = coefficients.num_layers(dim)  # refuses d < 2, which has no layer
         max_index = top if args.max_i is None else min(args.max_i, top)
         for index in range(1, max_index + 1):
             count_ok, cancel_ok = diagrams.verify_layer(dim, index)

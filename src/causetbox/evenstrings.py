@@ -17,7 +17,6 @@ instead of enumeration).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -38,9 +37,9 @@ __all__ = [
 #: Feasibility guard for fiber enumeration.
 MAX_FIBER_CHORDS = 3
 MAX_FIBER_LENGTH = 5
-#: Feasibility guard for string enumeration: the number of placements of
-#: the ones, an upper bound on the strings generated.  d = 10, i = 7 has
-#: 1,947,792 placements, of which 15,625 are valid strings.
+#: Feasibility guard for string enumeration: the number of strings it
+#: would generate, read off the path count first.  d = 12, i = 6 has
+#: 1,459,296 strings; d = 14, i = 4 has 3,352,139.
 MAX_STRING_CANDIDATES = 2_000_000
 
 
@@ -95,19 +94,18 @@ def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
     end of the string.  Only valid strings are built, by choosing the
     zero run before each one in ascending order (the trailing run takes
     the rest), so they come in the order of their one positions.  More
-    than ``MAX_STRING_CANDIDATES`` placements of the ones, an upper
-    bound on the strings, raise :class:`FeasibilityError` at once.
+    than ``MAX_STRING_CANDIDATES`` strings, counted first by
+    :func:`count_constrained_paths`, raise :class:`FeasibilityError` at
+    once.
     """
-    _check_even_dimension(dimension)
-    _check_index(dimension, index)
-    ones = dimension // 2 + 1
-    zeros = dimension * (index - 1) // 2
-    candidates = math.comb(ones + zeros, ones)
-    if candidates > MAX_STRING_CANDIDATES:
+    strings = count_constrained_paths(dimension, index)
+    if strings > MAX_STRING_CANDIDATES:
         raise FeasibilityError(
-            f"string enumeration too large: {candidates} candidate strings for "
+            f"string enumeration too large: {strings} strings for "
             f"d={dimension}, i={index} (guard: <= {MAX_STRING_CANDIDATES})"
         )
+    ones = dimension // 2 + 1
+    zeros = dimension * (index - 1) // 2
 
     def extend(prefix: str, placed: int, zeros_left: int) -> Iterator[str]:
         if placed == ones:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causet import CausalSet, box_operator
+from .causet import MAX_ARRAY_BYTES, CausalSet, box_operator
 from .coefficients import FeasibilityError, _check_dimension
 
 __all__ = [
@@ -42,8 +42,9 @@ __all__ = [
     "MAX_ESTIMATE_BYTES",
 ]
 
-#: Memory budget of one Monte Carlo estimate, checked before allocating.
-MAX_ESTIMATE_BYTES = 2**31
+#: Memory budget of one Monte Carlo estimate, checked before allocating:
+#: the package's one budget, shared with the interval pass.
+MAX_ESTIMATE_BYTES = MAX_ARRAY_BYTES
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causetbox import causet
+from causetbox.coefficients import FeasibilityError
 from causetbox.causet import (
     ActionReport,
     CausalSet,
@@ -118,6 +120,68 @@ class TestMatchesReferenceLoops:
     def test_layer_sums_stay_float_on_an_empty_past(self):
         sums = layer_sums(chain(3), 0, np.arange(3), 3)
         assert sums.dtype == np.float64 and sums.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestBlockedIntervalPass:
+    """The interval pass in blocks of a few rows equals the reference loops."""
+
+    @given(random_causal_sets(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_several_blocks_match_reference_loops(self, causal_set, seed):
+        n = causal_set.size
+        order = causal_set.precedes
+        covering = links(causal_set)
+        generated = np.zeros((n, n), dtype=bool)
+        for a, b in covering:
+            generated[a, b] = True
+        implied = np.argwhere(order & ~generated)  # pairs with something between
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(causet, "_BLOCK_ROWS", 3)  # n <= 12: up to four blocks
+            closed = from_relations(n, covering)
+            validated = CausalSet(order.copy())
+            if len(implied):
+                broken = order.copy()
+                broken[tuple(implied[seed % len(implied)])] = False
+                with pytest.raises(ValueError, match="transitively closed"):
+                    CausalSet(broken)
+        assert (closed.precedes == reference_closure(generated)).all()
+        for built in (closed, validated):
+            for max_i in (1, 3, n + 1):
+                assert interval_abundances(built, max_i) == reference_abundances(
+                    built, max_i
+                )
+
+    def test_one_pass_per_closed_build_and_none_for_abundances(self, monkeypatch):
+        calls = []
+        interval_pass = causet._interval_pass
+        pairs = np.argwhere(diamond().precedes)  # closed: every related pair
+
+        def counted(order):
+            calls.append(order.shape)
+            return interval_pass(order)
+
+        monkeypatch.setattr(causet, "_interval_pass", counted)
+        full = from_relations(4, pairs)
+        assert calls == [(4, 4)]
+        validated = CausalSet(full.precedes)
+        assert calls == [(4, 4)] * 2
+        for built in (full, validated):
+            assert interval_abundances(built, 3) == (4, 0, 1)
+            assert gravitational_action(built, 2, 1.0).abundances == (4, 0, 1)
+        assert len(calls) == 2
+
+    def test_histogram_is_read_only(self):
+        with pytest.raises(ValueError):
+            diamond()._histogram[0] = 7
+
+    def test_element_budget_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array for an over-budget causal set")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(FeasibilityError, match="100000 elements"):
+            from_relations(10**5, [])
+        assert 5 * 20_000**2 < causet.MAX_ARRAY_BYTES < 5 * 21_000**2
 
 
 class TestConstruction:

@@ -156,6 +156,23 @@ class TestVerify:
             assert set(r) == {"dimension", "index", "count_identity", "cancellation"}
             assert r["count_identity"] is r["cancellation"] is (r["index"] <= 2)
 
+    @pytest.mark.parametrize("max_i", ["0", "-3"])
+    def test_max_i_below_one_exits_2(self, max_i):
+        # a grid with no row checked nothing, so it must not report success
+        code, text, errors = invoke_with_errors(["verify", "--dim", "2", "--max-i", max_i])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "--max-i must be >= 1" in errors
+
+    @pytest.mark.parametrize("dim", ["1", "-3"])
+    def test_dimension_below_two_exits_2(self, dim):
+        # d = -3 has no layer index at all, so nothing would be checked
+        code, text, errors = invoke_with_errors(["verify", "--dim", dim])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+
     def test_guard_bounds_exit_3(self):
         # (80, 2) needs a tally over the guard; (80, 1) is computed first.
         code, text, errors = invoke_with_errors(["verify", "--dim", "80", "--max-i", "2"])
@@ -196,7 +213,13 @@ class TestStrings:
         code, _ = invoke(["strings", "--dim", "3", "--i", "1"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("d,i", [(12, 8), (14, 9)])
+    def test_guard_reads_the_string_count(self):
+        # 85,900,584 placements of the ones, but only 279,936 strings
+        code, text = invoke(["strings", "--dim", "12", "--i", "8"])
+        assert code == EXIT_OK
+        assert text == "d,i,string_count,path_count\n12,8,279936,279936\n"
+
+    @pytest.mark.parametrize("d,i", [(14, 4), (14, 9)])
     def test_enumeration_guard_exits_3_quickly(self, d, i):
         start = time.perf_counter()
         code, text, errors = invoke_with_errors(["strings", "--dim", str(d), "--i", str(i)])
@@ -287,6 +310,25 @@ class TestAction:
         assert errors == (
             "error: length scale 1e+300 to the power 2 overflows a float in dimension 4\n"
         )
+
+
+    def test_element_budget_exits_3_before_allocating(self, tmp_path, monkeypatch):
+        # 10**5 elements would need 10 GB of bool order and 40 GB of float32
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array for an over-budget causal set")
+
+        monkeypatch.setattr("numpy.zeros", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**5, "relations": []}))
+        start = time.perf_counter()
+        code, text, errors = invoke_with_errors(
+            ["action", "--input", str(path), "--dim", "2", "--ell", "1"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "100000 elements" in errors
 
 
 class TestSprinkle:

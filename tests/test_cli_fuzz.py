@@ -6,7 +6,7 @@ argv after one token is replaced, dropped or inserted, and for
 ``action`` with arbitrary JSON files.  Sizes are bounded so that every
 accepted request stays small: a sprinkle holds at most about 80
 elements per trial, and an action input at most a dozen elements unless
-its count is far beyond any array.  ``--help`` and ``--output`` are
+its count is over the causal-set element budget.  ``--help`` and ``--output`` are
 left out: the first prints usage text on stdout by design, the second
 writes no stdout.
 """
@@ -47,7 +47,7 @@ ENUMERATE = command(
     "enumerate", ("--chords", ints(-1, 6)), ("--points", ints(-1, 18)), flags=["--list"]
 )
 VERIFY = st.tuples(
-    st.lists(ints(-1, 7).map(lambda d: ["--dim", d]), max_size=3),
+    st.lists(ints(-3, 7).map(lambda d: ["--dim", d]), max_size=3),
     st.lists(ints(-1, 6).map(lambda i: ["--max-i", i]), max_size=1),
 ).map(lambda parts: ["verify"] + [token for chunk in parts[0] + parts[1] for token in chunk])
 STRINGS = command("strings", ("--dim", ints(-2, 14)), ("--i", ints(-1, 10)), flags=["--list"])
@@ -116,7 +116,9 @@ RELATIONS = st.one_of(
     st.lists(st.lists(st.integers(-1, 12), min_size=2, max_size=2), max_size=12),
     JSON_VALUES,
 )
-ELEMENT_COUNT = st.one_of(st.integers(-1, 12), st.sampled_from([10**30, 2.5, True, "4", None]))
+ELEMENT_COUNT = st.one_of(
+    st.integers(-1, 12), st.sampled_from([10**5, 10**30, 2.5, True, "4", None])
+)
 ACTION_INPUT = st.one_of(
     st.builds(lambda n, r: json.dumps({"n": n, "relations": r}), ELEMENT_COUNT, RELATIONS),
     JSON_VALUES.map(json.dumps),
@@ -143,7 +145,7 @@ def assert_strict_json_or_csv(text):
         pass
     header, *rows = csv.reader(io.StringIO(text))
     assert all(IDENTIFIER.fullmatch(name) for name in header), text[:200]
-    assert not rows or len(rows[0]) == len(header), text[:200]  # an empty grid has no row
+    assert rows and len(rows[0]) == len(header), text[:200]
 
 
 def assert_contract(code, out, err):

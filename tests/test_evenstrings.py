@@ -134,8 +134,14 @@ class TestGeneratorMatchesBruteForce:
             assert count_constrained_strings(d, i) == len(generated)
 
     def test_guard_is_checked_before_generating(self):
-        with pytest.raises(FeasibilityError):
-            enumerate_constrained_strings(12, 8)
+        # the guard reads the path count: (14, 4) has 3,352,139 strings
+        with pytest.raises(FeasibilityError, match="3352139 strings"):
+            enumerate_constrained_strings(14, 4)
+
+    def test_guard_bounds_the_strings_not_the_placements(self):
+        # (12, 8) places its 7 ones in 85,900,584 ways but has 279,936 strings
+        assert count_constrained_paths(12, 8) == 279_936
+        assert count_constrained_strings(12, 8) == 279_936
 
 
 class TestUnconstrainedBridge:
