@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causetbox import causet
-from causetbox.coefficients import FeasibilityError
 from causetbox.causet import (
     ActionReport,
     CausalSet,
@@ -173,15 +172,6 @@ class TestBlockedIntervalPass:
     def test_histogram_is_read_only(self):
         with pytest.raises(ValueError):
             diamond()._histogram[0] = 7
-
-    def test_element_budget_checked_before_allocating(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated an array for an over-budget causal set")
-
-        monkeypatch.setattr(np, "zeros", refuse)
-        with pytest.raises(FeasibilityError, match="100000 elements"):
-            from_relations(10**5, [])
-        assert 5 * 20_000**2 < causet.MAX_ARRAY_BYTES < 5 * 21_000**2
 
 
 class TestConstruction:
