@@ -25,9 +25,10 @@ pass once when it is built (:func:`from_relations` hands over the pass
 that closed its relation) and keeps the histogram, from which
 :func:`interval_abundances` reads ``N_i`` without another product.  The
 pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and one
-block of ``_BLOCK_ROWS x N`` products; a size whose arrays would exceed
-``MAX_ARRAY_BYTES`` raises :class:`~causetbox.coefficients.FeasibilityError`
-before anything is allocated.
+block of ``_BLOCK_ROWS x N`` products with its temporaries; counted with
+the caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
+raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
+allocates (before anything is, in :func:`from_relations`).
 """
 
 from __future__ import annotations
@@ -155,13 +156,20 @@ class ActionReport:
 
 
 def _check_pass_budget(n_elements: int) -> None:
-    """Refuse an interval pass whose arrays would not fit ``MAX_ARRAY_BYTES``:
-    the ``N x N`` bool order, its float32 copy and one float32 block."""
+    """Refuse an interval pass whose arrays would not fit ``MAX_ARRAY_BYTES``.
+
+    At its peak a causal set built from a bool matrix holds ``6*N*N``
+    bytes (the caller's matrix, the validated copy and its float32
+    operand) and one block of ``_BLOCK_ROWS`` rows with its
+    temporaries, at most 16 bytes per block entry (the float32 products,
+    the related entries as float32 and as int64).  A closure in
+    :func:`from_relations` holds no more.
+    """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
-    if 5 * n * n + 4 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
+    if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
         raise FeasibilityError(
             f"causal set too large: {n_elements} elements (the interval pass holds "
-            f"about 5*N*N bytes; guard: <= {MAX_ARRAY_BYTES} bytes)"
+            f"about 6*N*N bytes; guard: <= {MAX_ARRAY_BYTES} bytes)"
         )
 
 

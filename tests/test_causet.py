@@ -1,6 +1,7 @@
 """Causal sets, layers, the box operator, and the action."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from causetbox.causet import (
     layer_sums,
     load_causal_set,
 )
+from causetbox.coefficients import FeasibilityError
 
 
 def chain(n):
@@ -168,6 +170,28 @@ class TestBlockedIntervalPass:
             assert interval_abundances(built, 3) == (4, 0, 1)
             assert gravitational_action(built, 2, 1.0).abundances == (4, 0, 1)
         assert len(calls) == 2
+
+    def test_budget_bounds_the_measured_peak(self, monkeypatch):
+        # a chain relates every later element: the densest blocks, the
+        # most block temporaries; the caller's matrix is counted too
+        n = 300
+        monkeypatch.setattr(causet, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(causet, "MAX_ARRAY_BYTES", 6 * n * n + 16 * 64 * n)
+        order = np.triu(np.ones((n, n), dtype=bool), 1)
+        tracemalloc.start()
+        try:
+            CausalSet(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * n + peak <= causet.MAX_ARRAY_BYTES
+        with pytest.raises(FeasibilityError, match="301 elements"):
+            from_relations(n + 1, [])
+
+    def test_budget_admits_18248_elements(self):
+        causet._check_pass_budget(18_248)
+        with pytest.raises(FeasibilityError, match="18249 elements"):
+            causet._check_pass_budget(18_249)
 
     def test_histogram_is_read_only(self):
         with pytest.raises(ValueError):

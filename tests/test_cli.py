@@ -209,6 +209,14 @@ class TestStrings:
         assert payload["string_count"] == 16
         assert payload["path_count"] == 16
 
+    def test_one_long_string_answers_quickly(self):
+        # index 1 has the single string of d/2 + 1 ones, however large d is
+        start = time.perf_counter()
+        code, text = invoke(["strings", "--dim", "100000", "--i", "1", "--list"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert text == "d,i,string_count,path_count\n100000,1,1,1\n" + "1" * 50001 + "\n"
+
     def test_odd_dimension_rejected(self):
         code, _ = invoke(["strings", "--dim", "3", "--i", "1"])
         assert code == EXIT_USAGE
@@ -219,7 +227,9 @@ class TestStrings:
         assert code == EXIT_OK
         assert text == "d,i,string_count,path_count\n12,8,279936,279936\n"
 
-    @pytest.mark.parametrize("d,i", [(14, 4), (14, 9)])
+    @pytest.mark.parametrize(
+        "d,i", [(14, 4), (14, 9), (1000, 2), (200, 50), (4_000_000, 1), (10**10, 1)]
+    )
     def test_enumeration_guard_exits_3_quickly(self, d, i):
         start = time.perf_counter()
         code, text, errors = invoke_with_errors(["strings", "--dim", str(d), "--i", str(i)])

@@ -50,7 +50,14 @@ VERIFY = st.tuples(
     st.lists(ints(-3, 7).map(lambda d: ["--dim", d]), max_size=3),
     st.lists(ints(-1, 6).map(lambda i: ["--max-i", i]), max_size=1),
 ).map(lambda parts: ["verify"] + [token for chunk in parts[0] + parts[1] for token in chunk])
-STRINGS = command("strings", ("--dim", ints(-2, 14)), ("--i", ints(-1, 10)), flags=["--list"])
+# large dimensions: index 1 is one long string (over the guard at 10**10),
+# any other index is over the guard
+STRINGS = command(
+    "strings",
+    ("--dim", st.one_of(ints(-2, 14), st.sampled_from(["200", "1000", "100000", "10000000000"]))),
+    ("--i", st.one_of(ints(-1, 10), st.sampled_from(["50", "501"]))),
+    flags=["--list"],
+)
 SCALES = {"--density": ("0.5", "5", "40"), "--ell": ("0.5", "1", "2")}
 # One option at a time is set to one of these after a valid draw.
 EXTREMES = (

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from causetbox.coefficients import layer_coefficient, scaled_gamma_ratio
+from causetbox import evenstrings
 from causetbox.diagrams import RED, Chord, ChordDiagram, FeasibilityError
 from causetbox.evenstrings import (
+    MAX_STRING_CANDIDATES,
     count_constrained_paths,
     count_constrained_strings,
     enumerate_constrained_strings,
@@ -137,6 +139,36 @@ class TestGeneratorMatchesBruteForce:
         # the guard reads the path count: (14, 4) has 3,352,139 strings
         with pytest.raises(FeasibilityError, match="3352139 strings"):
             enumerate_constrained_strings(14, 4)
+
+    @pytest.mark.parametrize("d,i", [(1000, 2), (200, 50)])
+    def test_guard_refuses_before_the_exact_count(self, d, i, monkeypatch):
+        # a cheap lower bound refuses large requests; the exact count only runs below it
+        def fail(dimension, index):
+            raise AssertionError("exact count taken")
+
+        monkeypatch.setattr(evenstrings, "count_constrained_paths", fail)
+        with pytest.raises(FeasibilityError, match="more than 2000000 strings"):
+            enumerate_constrained_strings(d, i)
+
+    def test_guard_bounds_the_string_length(self):
+        # index 1 has one string of d/2 + 1 ones
+        assert list(enumerate_constrained_strings(3_999_998, 1)) == ["1" * 2_000_000]
+        with pytest.raises(FeasibilityError, match="strings of 2000001 characters"):
+            enumerate_constrained_strings(4_000_000, 1)
+
+    @pytest.mark.parametrize("d", range(2, 31, 2))
+    def test_lower_bound_never_exceeds_the_count(self, d):
+        for i in range(1, d // 2 + 3):
+            paths = count_constrained_paths(d, i)
+            for cap in (1, 10, 1000, MAX_STRING_CANDIDATES):
+                if evenstrings._count_floor_exceeds(d, i, cap):
+                    assert paths > cap, (d, i, cap)
+
+    @pytest.mark.parametrize("d", [4, 1000])
+    def test_second_index_misses_one_placement(self, d):
+        # only the string opening with d/2 zeros breaks the one constraint;
+        # d = 1000 walks 501 columns, past the default recursion limit
+        assert count_constrained_paths(d, 2) == math.comb(d + 1, d // 2 + 1) - 1
 
     def test_guard_bounds_the_strings_not_the_placements(self):
         # (12, 8) places its 7 ones in 85,900,584 ways but has 279,936 strings
