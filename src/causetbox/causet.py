@@ -73,7 +73,7 @@ MAX_ARRAY_BYTES = 2**31
 _BLOCK_ROWS = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CausalSet:
     """A finite strict poset, optionally with spacetime coordinates.
 
@@ -82,12 +82,13 @@ class CausalSet:
     (when present) holds one row of spacetime coordinates per element,
     time first.  Building one runs the interval pass once, for the
     transitivity check, and keeps its histogram for
-    :func:`interval_abundances`.
+    :func:`interval_abundances`.  Equality and hashing are by identity:
+    arrays have no single truth value to compare by.
     """
 
     precedes: np.ndarray
     coords: np.ndarray | None = None
-    _histogram: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    _histogram: np.ndarray = dataclass_field(init=False, repr=False)
     # the histogram of a pass that added nothing, handed over by from_relations
     _closed_histogram: InitVar[np.ndarray | None] = None
 

@@ -4,7 +4,9 @@ Subcommands: ``coeffs`` (exact coefficient tables), ``enumerate``
 (diagram counts and listings), ``verify`` (counting-identity and
 cancellation checks over a parameter grid), ``strings`` (even-dimension
 string/path counts), ``action`` (gravitational action of a causal set
-file), and ``sprinkle`` (Monte Carlo box-operator estimates).
+file), and ``sprinkle`` (Monte Carlo box-operator estimates).  Each
+subcommand returns its answer; :func:`run` renders it as CSV or JSON
+and writes it, to stdout or ``--output``, in one place.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid arguments,
 3 infeasible size (an enumeration, a tally or a sprinkle over its guard),
@@ -19,6 +21,8 @@ import io
 import json
 import math
 import sys
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,27 +47,29 @@ class _CliError(Exception):
     """Invalid arguments detected after parsing."""
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+class _Answer(NamedTuple):
+    """A subcommand's result: the JSON object, the CSV header and rows
+    (empty where only JSON is offered), the lines listed after the CSV
+    rows (``--list``), and the exit code."""
+
+    payload: dict
+    header: Sequence[str] = ()
+    rows: Sequence[list] = ()
+    lines: Sequence[str] = ()
+    code: int = EXIT_OK
 
 
-def _csv_text(rows: list[list], header: list[str]) -> str:
+def _render(answer: _Answer, output_format: str) -> str:
+    if output_format == "json":
+        return json.dumps(answer.payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer.writerow(answer.header)
+    writer.writerows(answer.rows)
+    return buffer.getvalue() + "".join(line + "\n" for line in answer.lines)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> _Answer:
     table = coefficients.coefficient_table(args.dim)
     rows = [
         [table.dimension, i, entry.numerator, entry.denominator, scaled]
@@ -71,20 +77,14 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
             zip(table.entries, table.scaled_entries), start=1
         )
     ]
-    if (args.format or "csv") == "csv":
-        text = _csv_text(rows, ["d", "i", "num", "den", "scaled"])
-    else:
-        text = _json_text(
-            {
-                "dimension": table.dimension,
-                "coefficients": [
-                    {"i": i, "num": num, "den": den, "scaled": scaled}
-                    for _, i, num, den, scaled in rows
-                ],
-            }
-        )
-    _write_output(text, args.output)
-    return EXIT_OK
+    payload = {
+        "dimension": table.dimension,
+        "coefficients": [
+            {"i": i, "num": num, "den": den, "scaled": scaled}
+            for _, i, num, den, scaled in rows
+        ],
+    }
+    return _Answer(payload, ["d", "i", "num", "den", "scaled"], rows)
 
 
 def _format_element(diagram: diagrams.ChordDiagram) -> str:
@@ -97,57 +97,39 @@ def _format_element(diagram: diagrams.ChordDiagram) -> str:
     return "; ".join(parts)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Answer:
+    elements = []
     if args.list:
-        elements = diagrams.enumerate_diagrams(args.chords, args.points)
+        listed = diagrams.enumerate_diagrams(args.chords, args.points)
+        elements = [_format_element(e) for e in listed]
         count = len(elements)
     else:
         count = diagrams.count_diagrams(args.chords, args.points)
-    if (args.format or "csv") == "csv":
-        text = _csv_text([[args.chords, args.points, count]], ["chords", "points", "count"])
-        if args.list:
-            text += "".join(_format_element(e) + "\n" for e in elements)
-    else:
-        payload = {"chords": args.chords, "points": args.points, "count": count}
-        if args.list:
-            payload["elements"] = [_format_element(e) for e in elements]
-        text = _json_text(payload)
-    _write_output(text, args.output)
-    return EXIT_OK
+    payload = {"chords": args.chords, "points": args.points, "count": count}
+    if args.list:
+        payload["elements"] = elements
+    row = [args.chords, args.points, count]
+    return _Answer(payload, ["chords", "points", "count"], [row], elements)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Answer:
     if args.max_i is not None and args.max_i < 1:
         raise _CliError(f"--max-i must be >= 1, got {args.max_i}: no layer would be checked")
-    results = []
-    all_ok = True
-    for dim in args.dims:
+    rows = []
+    for dim in args.dims or [2, 3, 4]:
         top = coefficients.num_layers(dim)  # refuses d < 2, which has no layer
         max_index = top if args.max_i is None else min(args.max_i, top)
         for index in range(1, max_index + 1):
-            count_ok, cancel_ok = diagrams.verify_layer(dim, index)
-            all_ok = all_ok and count_ok and cancel_ok
-            results.append(
-                {
-                    "dimension": dim,
-                    "index": index,
-                    "count_identity": count_ok,
-                    "cancellation": cancel_ok,
-                }
-            )
-    if (args.format or "json") == "csv":
-        rows = [
-            [r["dimension"], r["index"], r["count_identity"], r["cancellation"]]
-            for r in results
-        ]
-        text = _csv_text(rows, ["d", "i", "count_identity", "cancellation"])
-    else:
-        text = _json_text({"results": results, "all_ok": all_ok})
-    _write_output(text, args.output)
-    return EXIT_OK if all_ok else EXIT_VERIFY_MISMATCH
+            rows.append([dim, index, *diagrams.verify_layer(dim, index)])
+    keys = ("dimension", "index", "count_identity", "cancellation")
+    all_ok = all(count_ok and cancel_ok for _, _, count_ok, cancel_ok in rows)
+    payload = {"results": [dict(zip(keys, row)) for row in rows], "all_ok": all_ok}
+    code = EXIT_OK if all_ok else EXIT_VERIFY_MISMATCH
+    return _Answer(payload, ["d", "i", "count_identity", "cancellation"], rows, code=code)
 
 
-def _cmd_strings(args: argparse.Namespace) -> int:
+def _cmd_strings(args: argparse.Namespace) -> _Answer:
+    strings = []
     if args.list:
         strings = list(evenstrings.enumerate_constrained_strings(args.dim, args.i))
         count = len(strings)
@@ -162,34 +144,20 @@ def _cmd_strings(args: argparse.Namespace) -> int:
     }
     if args.list:
         payload["strings"] = strings
-    if (args.format or "csv") == "csv":
-        text = _csv_text(
-            [[args.dim, args.i, count, paths]],
-            ["d", "i", "string_count", "path_count"],
-        )
-        if args.list:
-            text += "".join(s + "\n" for s in payload["strings"])
-    else:
-        text = _json_text(payload)
-    _write_output(text, args.output)
-    return EXIT_OK
+    row = [args.dim, args.i, count, paths]
+    return _Answer(payload, ["d", "i", "string_count", "path_count"], [row], strings)
 
 
-def _cmd_action(args: argparse.Namespace) -> int:
+def _cmd_action(args: argparse.Namespace) -> _Answer:
     causal_set = load_causal_set(args.input)
-    report = gravitational_action(causal_set, args.dim, args.ell)
-    _write_output(_json_text(report.to_dict()), args.output)
-    return EXIT_OK
+    return _Answer(gravitational_action(causal_set, args.dim, args.ell).to_dict())
 
 
-def _cmd_sprinkle(args: argparse.Namespace) -> int:
-    if (args.density is None) == (args.ell is None):
-        raise _CliError("provide exactly one of --density and --ell")
+def _cmd_sprinkle(args: argparse.Namespace) -> _Answer:
+    density = args.density
     if args.ell is not None:
         _check_length_scale(args.ell)
         density = _length_power(args.ell, -args.dim, args.dim)
-    else:
-        density = args.density
     config = sprinkling.DiamondConfig(
         dimension=args.dim,
         density=density,
@@ -212,14 +180,17 @@ def _cmd_sprinkle(args: argparse.Namespace) -> int:
         "density": density,
         "length_scale": config.length_scale,
     }
-    _write_output(_json_text(payload), args.output)
-    return EXIT_OK
+    return _Answer(payload)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_common_flags(
+    parser: argparse.ArgumentParser,
+    default_format: str,
+    formats: tuple[str, ...] = ("csv", "json"),
+) -> None:
     parser.add_argument(
         "--format",
-        choices=("csv", "json"),
+        choices=formats,
         default=default_format,
         help=f"output format (default {default_format})",
     )
@@ -271,18 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--input", required=True, help="JSON file with n and relations")
     action.add_argument("--dim", type=int, required=True)
     action.add_argument("--ell", type=float, required=True)
-    _add_common_flags(action, "json")
+    _add_common_flags(action, "json", formats=("json",))
     action.set_defaults(handler=_cmd_action)
 
     sprinkle = subparsers.add_parser("sprinkle", help="Monte Carlo box estimate")
     sprinkle.add_argument("--dim", type=int, required=True)
-    sprinkle.add_argument("--density", type=float, default=None)
-    sprinkle.add_argument("--ell", type=float, default=None)
+    scale = sprinkle.add_mutually_exclusive_group(required=True)
+    scale.add_argument("--density", type=float)
+    scale.add_argument("--ell", type=float)
     sprinkle.add_argument("--half-height", type=float, default=1.0)
     sprinkle.add_argument("--trials", type=int, default=100)
     sprinkle.add_argument("--field", default="const:1")
     sprinkle.add_argument("--seed", type=int, default=0)
-    _add_common_flags(sprinkle, "json")
+    _add_common_flags(sprinkle, "json", formats=("json",))
     sprinkle.set_defaults(handler=_cmd_sprinkle)
 
     return parser
@@ -294,10 +266,15 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "subcommand", None) == "verify" and not args.dims:
-        args.dims = [2, 3, 4]
     try:
-        return args.handler(args)
+        answer = args.handler(args)
+        text = _render(answer, args.format)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return answer.code
     except coefficients.FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

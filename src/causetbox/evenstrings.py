@@ -29,14 +29,9 @@ __all__ = [
     "enumerate_constrained_strings",
     "count_constrained_strings",
     "count_constrained_paths",
-    "MAX_FIBER_CHORDS",
-    "MAX_FIBER_LENGTH",
     "MAX_STRING_CANDIDATES",
 ]
 
-#: Feasibility guard for fiber enumeration.
-MAX_FIBER_CHORDS = 3
-MAX_FIBER_LENGTH = 5
 #: Feasibility guard for string enumeration: the number of strings it
 #: would generate, and the length of one string, checked before
 #: generating.  d = 12, i = 6 has 1,459,296 strings; d = 14, i = 4 has
@@ -65,15 +60,9 @@ def fiber_sizes(n_chords: int, half_points: int) -> dict[str, int]:
     Every key has exactly ``n_chords`` ones, every string of length
     ``half_points`` with that many ones occurs, and every fiber has
     size exactly ``4**n_chords``; those facts are what the fiber
-    acceptance check asserts.  Guarded to ``n_chords <= 3`` and
-    ``half_points <= 5``.
+    acceptance check asserts.  Bounded by the guard of
+    :func:`~causetbox.diagrams.enumerate_diagrams`.
     """
-    if n_chords > MAX_FIBER_CHORDS or half_points > MAX_FIBER_LENGTH:
-        raise FeasibilityError(
-            f"fiber enumeration too large: {n_chords} chords, length "
-            f"{half_points} (guard: <= {MAX_FIBER_CHORDS} chords, "
-            f"length <= {MAX_FIBER_LENGTH})"
-        )
     sizes: dict[str, int] = {}
     for diagram in enumerate_diagrams(n_chords, 2 * half_points):
         key = odd_point_string(diagram)

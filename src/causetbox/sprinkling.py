@@ -39,12 +39,7 @@ __all__ = [
     "field_values",
     "parse_field_spec",
     "estimate_box",
-    "MAX_ESTIMATE_BYTES",
 ]
-
-#: Memory budget of one Monte Carlo estimate, checked before allocating:
-#: the package's one budget, shared with the interval pass.
-MAX_ESTIMATE_BYTES = MAX_ARRAY_BYTES
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 def _check_budget(config: DiamondConfig, trials: int) -> None:
-    """Refuse an estimate whose arrays would not fit ``MAX_ESTIMATE_BYTES``.
+    """Refuse an estimate whose arrays would not fit ``MAX_ARRAY_BYTES``.
 
     A trial with ``N`` elements holds, at its peak in
     :func:`causal_matrix`, ``d - 1`` spatial differences plus the
@@ -252,11 +247,11 @@ def _check_budget(config: DiamondConfig, trials: int) -> None:
     elements = config.density * diamond_volume(config.dimension, config.half_height)
     pairs = (elements + 1) * (elements + 1)  # a float product: inf, never OverflowError
     needed = 8 * (config.dimension + 1) * pairs + 8 * trials
-    if not needed <= MAX_ESTIMATE_BYTES:
+    if not needed <= MAX_ARRAY_BYTES:
         raise FeasibilityError(
             f"sprinkle too large: about {elements:.4g} elements per trial and "
             f"{trials} trials need about {needed:.3g} bytes "
-            f"(guard: <= {MAX_ESTIMATE_BYTES} bytes)"
+            f"(guard: <= {MAX_ARRAY_BYTES} bytes)"
         )
 
 
@@ -268,7 +263,7 @@ def estimate_box(
     Each trial sprinkles independently (child RNG stream ``(seed, trial)``),
     evaluates the operator at the top tip with the length scale derived
     from the density, and the results are averaged in trial order.  A
-    request whose arrays exceed ``MAX_ESTIMATE_BYTES`` raises
+    request whose arrays exceed ``MAX_ARRAY_BYTES`` raises
     :class:`~causetbox.coefficients.FeasibilityError` before any is allocated.
     """
     if trials < 1:

@@ -260,6 +260,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CausalSet(precedes=matrix)
 
+    def test_equality_and_hash_are_by_identity(self):
+        first, second = from_relations(3, [(0, 1)]), from_relations(3, [(0, 1)])
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
+
     def test_load_from_dict_and_file(self, tmp_path):
         payload = {"n": 3, "relations": [[0, 1], [1, 2]]}
         assert load_causal_set(payload).precedes[0, 2]

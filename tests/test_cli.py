@@ -369,14 +369,20 @@ class TestSprinkle:
         assert payload["length_scale"] == pytest.approx(0.5)
 
     def test_density_and_ell_together_exit_2(self):
-        code, _ = invoke(
+        code, text, errors = invoke_with_errors(
             ["sprinkle", "--dim", "2", "--density", "10", "--ell", "0.5", "--trials", "1"]
         )
-        assert code == EXIT_USAGE
+        assert (code, text) == (EXIT_USAGE, "")
+        assert errors.endswith(
+            "causetbox sprinkle: error: argument --ell: not allowed with argument --density\n"
+        )
 
     def test_neither_density_nor_ell_exit_2(self):
-        code, _ = invoke(["sprinkle", "--dim", "2", "--trials", "1"])
-        assert code == EXIT_USAGE
+        code, text, errors = invoke_with_errors(["sprinkle", "--dim", "2", "--trials", "1"])
+        assert (code, text) == (EXIT_USAGE, "")
+        assert errors.endswith(
+            "causetbox sprinkle: error: one of the arguments --density --ell is required\n"
+        )
 
     def test_overflowing_dimension_exit_2(self):
         code, _ = invoke(["sprinkle", "--dim", "400", "--density", "10", "--trials", "1"])
@@ -460,6 +466,23 @@ class TestPlumbing:
         assert code == EXIT_OK
         assert text == ""
         assert target.read_text() == "d,i,num,den,scaled\n2,1,1,1,16\n2,2,-2,1,-32\n2,3,1,1,16\n"
+
+    @pytest.mark.parametrize("subcommand", ["action", "sprinkle"])
+    def test_json_only_subcommands_refuse_csv(self, subcommand, tmp_path):
+        # both print JSON only, so asking for CSV is an invalid argument, not a no-op
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(DIAMOND_JSON))
+        argv = {
+            "action": ["action", "--input", str(path), "--dim", "2", "--ell", "1"],
+            "sprinkle": ["sprinkle", "--dim", "2", "--density", "10", "--trials", "2"],
+        }[subcommand]
+        code, text, errors = invoke_with_errors(argv + ["--format", "csv"])
+        assert (code, text) == (EXIT_USAGE, "")
+        assert "invalid choice: 'csv'" in errors and "Traceback" not in errors
+        code, text, errors = invoke_with_errors(argv + ["--format", "json"])
+        assert (code, errors) == (EXIT_OK, "")
+        assert text == invoke(argv)[1]
+        json.loads(text)
 
     def test_unknown_subcommand_exit_2(self):
         assert run(["frobnicate"]) == EXIT_USAGE

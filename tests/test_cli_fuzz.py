@@ -8,7 +8,8 @@ accepted request stays small: a sprinkle holds at most about 80
 elements per trial, and an action input at most a dozen elements unless
 its count is over the causal-set element budget.  ``--help`` and ``--output`` are
 left out: the first prints usage text on stdout by design, the second
-writes no stdout.
+writes no stdout.  An answer must come in the format asked for, or in the
+subcommand's default one; ``action`` and ``sprinkle`` offer only JSON.
 """
 
 import contextlib
@@ -17,12 +18,16 @@ import io
 import json
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetbox.cli import run
 
 EXIT_CODES = {0, 1, 2, 3, 4}
+DEFAULT_FORMAT = {"coeffs": "csv", "enumerate": "csv", "strings": "csv",
+                  "verify": "json", "action": "json", "sprinkle": "json"}
+FORMATS = st.sampled_from([[], ["--format", "csv"], ["--format", "json"]])
 IDENTIFIER = re.compile(r"[a-z_]+")
 
 
@@ -35,7 +40,7 @@ def command(name, *options, flags=()):
     then any of the bare ``flags`` and an output format."""
     parts = [values.map(lambda v, f=f: [f, v]) for f, values in options]
     parts += [st.sampled_from([[], [f]]) for f in flags]
-    parts.append(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
+    parts.append(FORMATS)
     return st.tuples(*parts).map(
         lambda chunks: [name] + [token for chunk in chunks for token in chunk]
     )
@@ -91,7 +96,8 @@ def sprinkle_argv(draw):
         if name in SCALES and draw(st.booleans()):
             options.pop(scale)  # the extreme scale alone, not beside the valid one
         options[name] = value
-    return ["sprinkle"] + [token for pair in options.items() for token in pair]
+    argv = ["sprinkle"] + [token for pair in options.items() for token in pair]
+    return argv + draw(FORMATS)
 
 
 WELL_TYPED = st.one_of(COEFFS, ENUMERATE, VERIFY, STRINGS, sprinkle_argv())
@@ -144,23 +150,30 @@ def reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
 
-def assert_strict_json_or_csv(text):
-    try:
+def requested_format(argv):
+    """The value of the last ``--format`` in ``argv``, else the subcommand's default."""
+    if "--format" not in argv:
+        return DEFAULT_FORMAT[argv[0]]
+    return argv[len(argv) - argv[::-1].index("--format")]
+
+
+def assert_format(text, output_format):
+    if output_format == "json":
         json.loads(text, parse_constant=reject_constant)
         return
-    except ValueError:
-        pass
+    with pytest.raises(ValueError):  # CSV that also parses as JSON would hide a wrong format
+        json.loads(text)
     header, *rows = csv.reader(io.StringIO(text))
     assert all(IDENTIFIER.fullmatch(name) for name in header), text[:200]
     assert rows and len(rows[0]) == len(header), text[:200]
 
 
-def assert_contract(code, out, err):
+def assert_contract(argv, code, out, err):
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err, err
     if code in (0, 1):
         assert err == "", err
-        assert_strict_json_or_csv(out)
+        assert_format(out, requested_format(argv))
     else:
         assert out == "", out[:200]
         assert err.splitlines()[-1].count("error:") == 1, err
@@ -171,13 +184,13 @@ def assert_contract(code, out, err):
 @settings(max_examples=200, deadline=None)
 @given(argv=WELL_TYPED)
 def test_well_typed_argv_obeys_the_exit_code_contract(argv):
-    assert_contract(*invoke(argv))
+    assert_contract(argv, *invoke(argv))
 
 
 @settings(max_examples=100, deadline=None)
 @given(argv=mutated())
 def test_mutated_argv_obeys_the_exit_code_contract(argv):
-    assert_contract(*invoke(argv))
+    assert_contract(argv, *invoke(argv))
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,7 +205,8 @@ def test_mutated_argv_obeys_the_exit_code_contract(argv):
 def test_action_obeys_the_exit_code_contract(tmp_path_factory, text, options):
     path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
     path.write_text(text, encoding="utf-8")
-    assert_contract(*invoke(options + ["--input", str(path)]))
+    argv = options + ["--input", str(path)]
+    assert_contract(argv, *invoke(argv))
 
 
 def test_missing_input_file_exits_2():

@@ -89,10 +89,12 @@ class TestFiberSizes:
         assert len(sizes) == comb(j, n)
 
     def test_guard(self):
+        # the enumeration guard bounds it: at most 4 chords and 16 points
+        assert fiber_sizes(4, 4) == {"1111": 4**4}
         with pytest.raises(FeasibilityError):
-            fiber_sizes(4, 4)
+            fiber_sizes(5, 5)
         with pytest.raises(FeasibilityError):
-            fiber_sizes(2, 6)
+            fiber_sizes(2, 9)
 
 
 class TestConstrainedStrings:

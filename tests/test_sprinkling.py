@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causetbox.causet import CausalSet, from_relations
+from causetbox.causet import MAX_ARRAY_BYTES, CausalSet, from_relations
 from causetbox.coefficients import FeasibilityError
 from causetbox.sprinkling import (
-    MAX_ESTIMATE_BYTES,
     ConstantField,
     DiamondConfig,
     MonomialField,
@@ -267,7 +266,7 @@ class TestEstimateBox:
     def test_budget_bound(self):
         # 8 (d + 1) bytes per ordered pair of the expected N plus the tip,
         # plus 8 per trial: at d = 2, 9000 elements fit and 10000 do not.
-        assert 24 * 9000**2 < MAX_ESTIMATE_BYTES < 24 * 10000**2
+        assert 24 * 9000**2 < MAX_ARRAY_BYTES < 24 * 10000**2
         inside = DiamondConfig(dimension=2, density=8999 / 2, half_height=1.0, seed=1)
         outside = DiamondConfig(dimension=2, density=9999 / 2, half_height=1.0, seed=1)
         _check_budget(inside, 100)
