@@ -29,10 +29,14 @@ block of ``_BLOCK_ROWS x N`` products with its temporaries; counted with
 the caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
 raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
 allocates (before anything is, in :func:`from_relations`).
+
+A layer below ``x`` reads only the column ``P[below] @ P[:, x]``, in the
+same float32 row blocks; an element index must be an int in ``0..N-1``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import InitVar, dataclass
@@ -42,13 +46,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import (
-    FeasibilityError,
-    alpha_over_beta,
-    coefficient_table,
-    num_layers,
-    operator_constants,
-)
+from . import coefficients  # memoized tables, looked up where a tracer patches them
+from .coefficients import FeasibilityError, alpha_over_beta, num_layers
 
 __all__ = [
     "CausalSet",
@@ -203,9 +202,14 @@ def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
 
 def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The predecessors ``y < x`` in increasing order, and for each the
-    number of elements strictly between it and ``x``."""
-    below = np.flatnonzero(causal_set.precedes[:, x])
-    return below, causal_set.precedes[np.ix_(below, below)].sum(axis=1)
+    number of elements strictly between it and ``x`` (``P[below] @ P[:, x]``)."""
+    column = causal_set.precedes[:, x]
+    below, operand = np.flatnonzero(column), column.astype(np.float32)
+    between = np.empty(below.size, dtype=np.int64)
+    for start in range(0, below.size, _BLOCK_ROWS):
+        rows = causal_set.precedes[below[start : start + _BLOCK_ROWS]]
+        between[start : start + _BLOCK_ROWS] = rows.astype(np.float32) @ operand
+    return below, between
 
 
 def _check_integers(values: list, what: str) -> None:
@@ -213,6 +217,13 @@ def _check_integers(values: list, what: str) -> None:
     for kind in set(map(type, values)):
         if kind is bool or not issubclass(kind, (int, np.integer)):
             raise ValueError(f"{what} must be an integer, not {kind.__name__}")
+
+
+def _check_elements(causal_set: CausalSet, *elements: int) -> None:
+    for x in elements:
+        _check_integers([x], f"element index {x!r} (range 0..{causal_set.size - 1})")
+        if not 0 <= x < causal_set.size:
+            raise ValueError(f"element index {x} out of range 0..{causal_set.size - 1}")
 
 
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:
@@ -231,19 +242,26 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
     if n_elements < 0:
         raise ValueError("element count must be >= 0")
     _check_pass_budget(n_elements)
-    ends: list = []
-    try:
-        for a, b in pairs:
-            ends += (a, b)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("each relation must be a pair [a, b]") from exc
+    try:  # one pass over the relations, one length check each, both in C
+        pairs = list(pairs)
+        paired = set(map(len, pairs)) <= {2}
+    except (TypeError, ValueError):
+        paired = False
+    if not paired:
+        raise ValueError("each relation must be a pair [a, b]")
+    ends = list(itertools.chain.from_iterable(pairs))
     _check_integers(ends, "each relation end")
-    if ends and not 0 <= min(ends) <= max(ends) < n_elements:
-        a, b = next(p for p in zip(ends[::2], ends[1::2])
-                    if not 0 <= min(p) <= max(p) < n_elements)
+    try:  # an end beyond int64 is out of range as well
+        flat = np.fromiter(ends, dtype=np.int64, count=len(ends))
+        in_range = not flat.size or 0 <= flat.min() <= flat.max() < n_elements
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        a, b = next(p for p in pairs if not 0 <= min(p) <= max(p) < n_elements)
         raise ValueError(f"relation ({a}, {b}) out of range 0..{n_elements - 1}")
     closure = np.zeros((n_elements, n_elements), dtype=bool)
-    closure[ends[::2], ends[1::2]] = True
+    closure[flat[::2], flat[1::2]] = True
+    del pairs, ends, flat  # the closure passes hold none of the relation copies
     grew = True
     while grew:
         grew, histogram = _interval_pass(closure)
@@ -267,18 +285,19 @@ def load_causal_set(source: str | Path | dict) -> CausalSet:
 
 def interval_size(causal_set: CausalSet, a: int, b: int) -> int:
     """Size of the closed interval ``[a, b]``; 0 when ``a <= b`` fails."""
+    _check_elements(causal_set, a, b)
     if a == b:
         return 1
     if not causal_set.precedes[a, b]:
         return 0
-    between = np.count_nonzero(causal_set.precedes[a] & causal_set.precedes[:, b])
-    return 2 + between
+    return 2 + np.count_nonzero(causal_set.precedes[a] & causal_set.precedes[:, b])
 
 
 def layer(causal_set: CausalSet, x: int, i: int) -> frozenset[int]:
     """The i-th layer below ``x``: predecessors at closed-interval size i+1."""
     if i < 1:
         raise ValueError(f"layer index must be >= 1, got {i}")
+    _check_elements(causal_set, x)
     below, between = _past(causal_set, x)
     return frozenset(below[between == i - 1].tolist())
 
@@ -287,6 +306,7 @@ def layer_sums(
     causal_set: CausalSet, x: int, field: np.ndarray, max_layer: int
 ) -> np.ndarray:
     """Sum of the field over each layer ``L_1(x) .. L_max_layer(x)``."""
+    _check_elements(causal_set, x)
     below, between = _past(causal_set, x)  # layer index is between + 1
     sums = np.bincount(between, weights=np.asarray(field)[below], minlength=max_layer)
     return sums[:max_layer].astype(float, copy=False)  # an empty past counts as ints
@@ -304,7 +324,7 @@ def _as_field(values: Sequence[float] | np.ndarray, n_elements: int) -> np.ndarr
 
 def _weighted(dimension: int, values: Sequence[float]) -> float:
     """``sum_i C_i * values[i - 1]``, one value per layer of ``dimension``."""
-    entries = coefficient_table(dimension).entries
+    entries = coefficients.coefficient_table(dimension).entries
     return sum(float(c) * value for c, value in zip(entries, values, strict=True))
 
 
@@ -335,7 +355,7 @@ def box_operator(
     """The discrete box operator applied to ``field`` at element ``x``."""
     _check_length_scale(length_scale)
     values = _as_field(field, causal_set.size)
-    constants = operator_constants(dimension)
+    constants = coefficients.operator_constants(dimension)
     weighted = _weighted(dimension, layer_sums(causal_set, x, values, num_layers(dimension)))
     return (constants.alpha * values[x] + constants.beta * weighted) / _length_power(
         length_scale, 2, dimension
@@ -360,7 +380,7 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     overall dimension-independent normalization is fixed to 1.
     """
     _check_length_scale(length_scale)
-    constants = operator_constants(dimension)
+    constants = coefficients.operator_constants(dimension)
     abundances = interval_abundances(causal_set, num_layers(dimension))
     beta_over_alpha = float(1 / alpha_over_beta(dimension))
     action = (

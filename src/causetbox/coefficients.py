@@ -17,10 +17,15 @@ half-integer gammas and symbolic ``sqrt(pi)`` cancellation) lives in
 ``tests/gamma_oracle.py``, where the tests check every table against it.
 Floating values appear only in the operator constants ``alpha``,
 ``beta`` and the volume factor ``c_d``, which are genuinely irrational.
+
+:func:`coefficient_table` and :func:`operator_constants` keep their
+frozen results for the last 8 dimensions, shared by every trial and
+cell (a ``d = 2000`` table holds 1000 integers of 4000 digits).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +115,7 @@ class CoefficientTable:
                 )
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def coefficient_table(dimension: int) -> CoefficientTable:
     """Exact and scaled layer coefficients ``C_1 .. C_(floor(d/2)+2)``.
 
@@ -209,6 +215,7 @@ class OperatorConstants:
             )
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def operator_constants(dimension: int) -> OperatorConstants:
     """Floating ``alpha``, ``beta`` and ``c_d`` for dimension ``dimension``.
 

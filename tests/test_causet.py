@@ -21,6 +21,7 @@ from causetbox.causet import (
     load_causal_set,
 )
 from causetbox.coefficients import FeasibilityError
+from causetbox.sprinkling import DiamondConfig, sprinkle
 
 
 def chain(n):
@@ -403,3 +404,91 @@ class TestAbundancesAndAction:
         )
         expected = -(ell ** (d - 2)) * ell**2 * total
         assert report.action == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+class TestRelationParsing:
+    """Each malformed relation keeps its exception type and message."""
+
+    PAIR = "each relation must be a pair [a, b]"
+
+    @pytest.mark.parametrize(
+        "relations, message",
+        [
+            ([[0]], PAIR),
+            ([[0, 1, 2]], PAIR),
+            ([[0, 1], [2]], PAIR),
+            ([5], PAIR),
+            (7, PAIR),
+            (["ab"], "each relation end must be an integer, not str"),
+            ([[True, 1]], "each relation end must be an integer, not bool"),
+            ([[0, 1.0]], "each relation end must be an integer, not float"),
+            ([[0, 10**30]], f"relation (0, {10**30}) out of range 0..2"),
+            ([[0, 1], [-1, 2]], "relation (-1, 2) out of range 0..2"),
+        ],
+    )
+    def test_message_is_pinned(self, relations, message):
+        with pytest.raises(ValueError) as raised:
+            from_relations(3, relations)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            load_causal_set({"n": 3, "relations": relations})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda pairs: pairs,
+            lambda pairs: (tuple(pair) for pair in pairs),
+            lambda pairs: np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            lambda pairs: np.array(pairs, dtype=np.int32).reshape(-1, 2),
+        ],
+    )
+    @pytest.mark.parametrize("pairs", [[], [[0, 1], [1, 3], [0, 2]]])
+    def test_valid_forms_give_one_closure(self, make, pairs):
+        want = reference_closure(from_relations(4, []).precedes | _scattered(4, pairs))
+        assert (from_relations(4, make(pairs)).precedes == want).all()
+
+
+def _scattered(n, pairs):
+    matrix = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        matrix[a, b] = True
+    return matrix
+
+
+class TestElementIndices:
+    CALLS = {
+        "interval_size": lambda cs, x: interval_size(cs, x, 2),
+        "interval_size_b": lambda cs, x: interval_size(cs, 0, x),
+        "layer": lambda cs, x: layer(cs, x, 1),
+        "layer_sums": lambda cs, x: layer_sums(cs, x, np.ones(3), 2).tolist(),
+        "box_operator": lambda cs, x: box_operator(cs, 2, 1.0, np.ones(3), x),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("x", [-1, 3, 5, True, 1.0, "1", None])
+    def test_bad_index_is_a_value_error_naming_index_and_range(self, call, x):
+        with pytest.raises(ValueError) as raised:
+            self.CALLS[call](chain(3), x)
+        assert f"element index {x!r}" in str(raised.value)
+        assert "0..2" in str(raised.value)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integer_indices_accepted(self, call):
+        assert self.CALLS[call](chain(3), np.int64(2)) == self.CALLS[call](chain(3), 2)
+
+
+class TestTipProduct:
+    """The blocked tip product equals the gathered submatrix sums."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_submatrix_sums_over_several_blocks(self, seed):
+        config = DiamondConfig(dimension=2, density=700.0, half_height=1.0, seed=seed)
+        result = sprinkle(config)
+        order = result.causal_set.precedes
+        assert result.causal_set.size > 2 * causet._BLOCK_ROWS  # three blocks at the tip
+        for x in (result.eval_index, result.causal_set.size // 2, 0):
+            below, between = causet._past(result.causal_set, x)
+            assert (below == np.flatnonzero(order[:, x])).all()
+            want = order[np.ix_(below, below)].sum(axis=1)
+            assert between.dtype == want.dtype and (between == want).all()

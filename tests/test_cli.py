@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from causetbox import evenstrings
+from causetbox import cli, evenstrings
 from causetbox.cli import (
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
@@ -507,3 +507,48 @@ class TestPlumbing:
         assert text == ""
         assert_one_error_line(errors)
         assert errors == "error: internal error: RuntimeError: unexpected failure\n"
+
+
+class TestParserState:
+    """One parser serves every call in a process; no call sees another's."""
+
+    def test_appended_dims_do_not_accumulate(self):
+        code, text = invoke(["verify", "--dim", "2", "--max-i", "2"])
+        assert code == EXIT_OK
+        assert {row["dimension"] for row in json.loads(text)["results"]} == {2}
+        code, text = invoke(["verify", "--dim", "3", "--max-i", "2"])
+        assert code == EXIT_OK
+        assert {row["dimension"] for row in json.loads(text)["results"]} == {3}
+
+    def test_exclusive_scale_flags_reset_between_calls(self):
+        base = ["sprinkle", "--dim", "2", "--trials", "2"]
+        code, text = invoke(base + ["--ell", "0.5"])
+        assert code == EXIT_OK and json.loads(text)["density"] == 4.0
+        code, text = invoke(base + ["--density", "10"])
+        assert code == EXIT_OK and json.loads(text)["density"] == 10.0
+        code, text, errors = invoke_with_errors(base)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert "one of the arguments --density --ell is required" in errors
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["coeffs", "--dim", "x"],
+            ["verify", "--dim", "3", "--max-i", "oops"],
+            ["sprinkle", "--dim", "2", "--density", "1", "--ell", "1"],
+            ["frobnicate"],
+        ],
+    )
+    def test_a_bad_call_leaves_good_calls_unchanged(self, bad):
+        good = ["verify", "--dim", "2", "--max-i", "2", "--format", "csv"]
+        first = invoke(good)
+        assert invoke_with_errors(bad)[0] == EXIT_USAGE
+        assert invoke(good) == first
+        assert first[1].splitlines()[1:] == ["2,1,True,True", "2,2,True,True"]
+
+    def test_run_does_not_build_a_parser(self, monkeypatch):
+        def refuse():
+            raise AssertionError("run built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert invoke(["coeffs", "--dim", "2"])[0] == EXIT_OK

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from causetbox import coefficients
 from causetbox.coefficients import (
     alpha_over_beta,
     catalan_number,
@@ -23,6 +24,7 @@ from causetbox.coefficients import (
     scaled_gamma_ratio,
     sphere_surface_area,
 )
+from causetbox.sprinkling import ConstantField, DiamondConfig, estimate_box
 from gamma_oracle import alpha_over_beta_gamma_form, gamma_layer_coefficient
 
 
@@ -217,3 +219,42 @@ class TestOperatorConstants:
         assert sphere_surface_area(0) == pytest.approx(2.0)
         assert sphere_surface_area(1) == pytest.approx(2 * math.pi)
         assert sphere_surface_area(2) == pytest.approx(4 * math.pi)
+
+
+class TestMemo:
+    """The per-dimension memo changes no value; no test here reads a clock."""
+
+    def test_tables_equal_the_oracle_across_cache_cycles(self):
+        coefficient_table.cache_clear()
+        dims = range(2, 61)  # 59 dimensions cycle the 8-entry cache several times
+        for _ in range(2):
+            for d in dims:
+                exact = tuple(
+                    gamma_layer_coefficient(d, i) for i in range(1, num_layers(d) + 1)
+                )
+                assert coefficient_table(d).entries == exact
+        assert coefficient_table.cache_info().currsize == 8
+
+    def test_repeated_dimension_returns_the_shared_table(self):
+        assert coefficient_table(5) is coefficient_table(5)
+        assert operator_constants(5) is operator_constants(5)
+
+    def test_non_int_dimension_is_not_served_from_the_cache(self):
+        coefficient_table(4)
+        with pytest.raises(TypeError):
+            coefficient_table(4.0)
+
+    def test_an_estimate_computes_the_table_once(self, monkeypatch):
+        calls = []
+        ratio = coefficients.scaled_gamma_ratio
+
+        def counted(dimension, k):
+            calls.append((dimension, k))
+            return ratio(dimension, k)
+
+        monkeypatch.setattr(coefficients, "scaled_gamma_ratio", counted)
+        coefficient_table.cache_clear()
+        config = DiamondConfig(dimension=2, density=20.0, half_height=1.0, seed=3)
+        estimate_box(config, ConstantField(1.0), 20)
+        assert calls == [(2, k) for k in range(num_layers(2))]
+        coefficient_table.cache_clear()  # drop the table built under the patch
