@@ -445,7 +445,7 @@ class TestRelationParsing:
     )
     @pytest.mark.parametrize("pairs", [[], [[0, 1], [1, 3], [0, 2]]])
     def test_valid_forms_give_one_closure(self, make, pairs):
-        want = reference_closure(from_relations(4, []).precedes | _scattered(4, pairs))
+        want = reference_closure(_scattered(4, pairs))
         assert (from_relations(4, make(pairs)).precedes == want).all()
 
 
