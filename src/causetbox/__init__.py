@@ -19,6 +19,7 @@ Subpackages by theme:
 
 from .coefficients import (
     CoefficientTable,
+    FeasibilityError,
     OperatorConstants,
     alpha_over_beta,
     coefficient_table,
@@ -30,7 +31,6 @@ from .coefficients import (
 from .diagrams import (
     ChordDiagram,
     Chord,
-    FeasibilityError,
     count_restricted,
     enumerate_diagrams,
     verify_cancellation,
@@ -43,7 +43,6 @@ from .sprinkling import (
     ConstantField,
     DiamondConfig,
     MonomialField,
-    TableField,
     estimate_box,
     sprinkle,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ConstantField",
     "DiamondConfig",
     "MonomialField",
-    "TableField",
     "estimate_box",
     "sprinkle",
     "__version__",

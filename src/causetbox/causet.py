@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import coefficients  # memoized tables, looked up where a tracer patches them
-from .coefficients import FeasibilityError, alpha_over_beta, num_layers
+from .coefficients import FeasibilityError, num_layers
 
 __all__ = [
     "CausalSet",
@@ -143,16 +143,6 @@ class ActionReport:
             "abundances": list(self.abundances),
             "action": self.action,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ActionReport":
-        return cls(
-            dimension=data["dimension"],
-            length_scale=data["length_scale"],
-            size=data["size"],
-            abundances=tuple(data["abundances"]),
-            action=data["action"],
-        )
 
 
 def _check_pass_budget(n_elements: int) -> None:
@@ -268,13 +258,10 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
     return CausalSet(closure, _closed_histogram=histogram)
 
 
-def load_causal_set(source: str | Path | dict) -> CausalSet:
-    """Load ``{"n": N, "relations": [[a, b], ...]}`` from a path or dict."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = source
+def load_causal_set(source: str | Path) -> CausalSet:
+    """Load ``{"n": N, "relations": [[a, b], ...]}`` from a JSON file."""
+    with open(source, encoding="utf-8") as handle:
+        data = json.load(handle)
     try:
         n_elements = data["n"]
         relations = data["relations"]
@@ -295,6 +282,7 @@ def interval_size(causal_set: CausalSet, a: int, b: int) -> int:
 
 def layer(causal_set: CausalSet, x: int, i: int) -> frozenset[int]:
     """The i-th layer below ``x``: predecessors at closed-interval size i+1."""
+    _check_integers([i], "layer index")
     if i < 1:
         raise ValueError(f"layer index must be >= 1, got {i}")
     _check_elements(causal_set, x)
@@ -366,6 +354,7 @@ def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     """``N_1 .. N_max_i`` where ``N_i`` counts related pairs with
     closed-interval size ``i + 1``, read off the histogram the causal set
     kept from its interval pass (no product is taken)."""
+    _check_integers([max_i], "max_i")
     if max_i < 1:
         raise ValueError(f"max_i must be >= 1, got {max_i}")
     counts = causal_set._histogram[:max_i].tolist()  # N_i counts between == i - 1
@@ -382,7 +371,7 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     _check_length_scale(length_scale)
     constants = coefficients.operator_constants(dimension)
     abundances = interval_abundances(causal_set, num_layers(dimension))
-    beta_over_alpha = float(1 / alpha_over_beta(dimension))
+    beta_over_alpha = float(1 / constants.alpha_over_beta_exact)
     action = (
         -constants.alpha
         * _length_power(length_scale, dimension - 2, dimension)

@@ -32,9 +32,9 @@ to small sizes because it returns them all.  The counts and the replay
 build none: the class and the replay depend only on the word's profile,
 and a transfer-matrix tally over the word (Stanley, *Enumerative
 Combinatorics* I, §4.7) counts the diagrams by profile class.
-``tests/diagram_oracle.py`` keeps the brute-force enumeration, and the
-diagram-by-diagram filter and replay, that the generator and the tally
-must equal.
+``tests/diagram_oracle.py`` keeps the conditions above as a check on
+any chord list, the brute-force enumeration, and the diagram-by-diagram
+filter and replay, that the generator and the tally must equal.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ __all__ = [
     "BLUE",
     "Chord",
     "ChordDiagram",
-    "FeasibilityError",
-    "inside_points",
-    "is_valid_diagram",
     "enumerate_diagrams",
     "count_diagrams",
     "count_restricted",
@@ -113,76 +110,6 @@ class ChordDiagram:
 
     points: int
     chords: tuple[Chord, ...]
-
-    def bare_points(self) -> frozenset[int]:
-        covered = {p for chord in self.chords for p in (chord.low, chord.high)}
-        return frozenset(range(1, self.points + 1)) - covered
-
-
-def _check_well_formed(diagram: ChordDiagram) -> None:
-    seen: set[int] = set()
-    for chord in diagram.chords:
-        if not (1 <= chord.low < chord.high <= diagram.points):
-            raise ValueError(f"chord endpoints out of range: {chord}")
-        if chord.low in seen or chord.high in seen:
-            raise ValueError(f"chord endpoints must be pairwise distinct: {chord}")
-        seen.update((chord.low, chord.high))
-        if chord.color == BLACK:
-            if chord.first_end is not None:
-                raise ValueError(f"black chords carry no first end: {chord}")
-        elif chord.color in (RED, BLUE):
-            if chord.first_end not in (chord.low, chord.high):
-                raise ValueError(f"first end must be one of the endpoints: {chord}")
-        else:
-            raise ValueError(f"unknown color: {chord.color!r}")
-
-
-def inside_points(total_points: int, chord: Chord) -> frozenset[int]:
-    """The points cyclically after the chord's first end and before its
-    other end (both exclusive)."""
-    if chord.first_end is None:
-        raise ValueError("black chords have no designated inside")
-    other = chord.high if chord.first_end == chord.low else chord.low
-    points = []
-    position = chord.first_end % total_points + 1
-    while position != other:
-        points.append(position)
-        position = position % total_points + 1
-    return frozenset(points)
-
-
-def _crossing(a: Chord, b: Chord) -> bool:
-    return (a.low < b.low < a.high < b.high) or (b.low < a.low < b.high < a.high)
-
-
-def is_valid_diagram(diagram: ChordDiagram) -> bool:
-    """Whether the diagram satisfies all class conditions.
-
-    Checks, in order: noncrossing; every inside point of a red/blue
-    chord is covered by a black chord; every black chord lies inside
-    some red/blue chord; no red/blue chord lies inside another.
-    Malformed chords (shared endpoints, bad colors or first ends)
-    raise ``ValueError`` instead of returning ``False``.
-    """
-    _check_well_formed(diagram)
-    chords = diagram.chords
-    for a, b in itertools.combinations(chords, 2):
-        if _crossing(a, b):
-            return False
-    colored = [c for c in chords if c.color != BLACK]
-    black = [c for c in chords if c.color == BLACK]
-    black_covered = {p for c in black for p in (c.low, c.high)}
-    insides = {c: inside_points(diagram.points, c) for c in colored}
-    for c in colored:
-        if not insides[c] <= black_covered:
-            return False
-    for b_chord in black:
-        if not any({b_chord.low, b_chord.high} <= insides[c] for c in colored):
-            return False
-    for c, other in itertools.permutations(colored, 2):
-        if {c.low, c.high} <= insides[other]:
-            return False
-    return True
 
 
 def _check_sizes(n_chords: int, n_points: int) -> None:

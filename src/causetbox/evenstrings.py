@@ -12,7 +12,9 @@ preceded by fewer than ``d/2`` consecutive zeros equals
 this string identity holds at every index.  The lattice-path count is
 the same quantity through an independent route (a walk with ``1`` as a
 right step and ``0`` as an up step, computed by dynamic programming
-instead of enumeration).
+instead of enumeration).  The projection and its ``4**n`` fibers are
+checked over enumerated diagrams in ``tests/diagram_oracle.py``;
+nothing here builds a diagram.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator
 
-from .coefficients import _check_index
-from .diagrams import ChordDiagram, FeasibilityError, enumerate_diagrams
+from .coefficients import FeasibilityError, _check_index
 
 __all__ = [
-    "odd_point_string",
-    "fiber_sizes",
     "enumerate_constrained_strings",
     "count_constrained_strings",
     "count_constrained_paths",
@@ -37,37 +36,6 @@ __all__ = [
 #: generating.  d = 12, i = 6 has 1,459,296 strings; d = 14, i = 4 has
 #: 3,352,139.
 MAX_STRING_CANDIDATES = 2_000_000
-
-
-def odd_point_string(diagram: ChordDiagram) -> str:
-    """The binary string read off the odd points of an even diagram.
-
-    Entry ``l`` (1-based) is ``'1'`` when point ``2l - 1`` is covered by
-    a chord and ``'0'`` when it is bare.
-    """
-    if diagram.points % 2 != 0:
-        raise ValueError(
-            f"odd-point string needs an even point count, got {diagram.points}"
-        )
-    bare = diagram.bare_points()
-    half = diagram.points // 2
-    return "".join("0" if 2 * l - 1 in bare else "1" for l in range(1, half + 1))
-
-
-def fiber_sizes(n_chords: int, half_points: int) -> dict[str, int]:
-    """Group the diagrams on ``2 * half_points`` points by their string.
-
-    Every key has exactly ``n_chords`` ones, every string of length
-    ``half_points`` with that many ones occurs, and every fiber has
-    size exactly ``4**n_chords``; those facts are what the fiber
-    acceptance check asserts.  Bounded by the guard of
-    :func:`~causetbox.diagrams.enumerate_diagrams`.
-    """
-    sizes: dict[str, int] = {}
-    for diagram in enumerate_diagrams(n_chords, 2 * half_points):
-        key = odd_point_string(diagram)
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes
 
 
 def _check_even_dimension(dimension: int) -> None:

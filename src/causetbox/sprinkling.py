@@ -31,7 +31,6 @@ __all__ = [
     "FieldSpec",
     "ConstantField",
     "MonomialField",
-    "TableField",
     "diamond_volume",
     "causal_matrix",
     "boost_coords",
@@ -86,15 +85,7 @@ class MonomialField:
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TableField:
-    """Explicit per-element values; only usable when the element count
-    matches the table length."""
-
-    values: tuple[float, ...]
-
-
-FieldSpec = ConstantField | MonomialField | TableField
+FieldSpec = ConstantField | MonomialField
 
 
 def diamond_volume(dimension: int, half_height: float) -> float:
@@ -168,7 +159,7 @@ def _sprinkle_with_rng(config: DiamondConfig, rng: np.random.Generator) -> Sprin
     volume = diamond_volume(config.dimension, config.half_height)
     count = int(rng.poisson(config.density * volume))
     points = _sample_diamond(rng, config.dimension, config.half_height, count)
-    order = np.lexsort(points.T[::-1]) if count else np.empty(0, dtype=int)
+    order = np.lexsort(points.T[::-1])
     points = points[order]  # canonical time-then-space ordering
     tip = np.zeros((1, config.dimension))
     tip[0, 0] = config.half_height
@@ -192,13 +183,6 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
     """
     if isinstance(spec, ConstantField):
         return np.full(causal_set.size, float(spec.value))
-    if isinstance(spec, TableField):
-        if len(spec.values) != causal_set.size:
-            raise ValueError(
-                f"table field has {len(spec.values)} values for "
-                f"{causal_set.size} elements"
-            )
-        return np.asarray(spec.values, dtype=float)
     if causal_set.coords is None:
         raise ValueError("coordinate fields need a causal set with coordinates")
     exponents = spec.exponents
@@ -214,8 +198,8 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
 
 
 def parse_field_spec(text: str) -> FieldSpec:
-    """Parse CLI field syntax: ``const:VALUE``, ``mono:E0,E1,...``
-    (coordinate exponents, time first), or ``table:V0,V1,...``."""
+    """Parse CLI field syntax: ``const:VALUE`` or ``mono:E0,E1,...``
+    (coordinate exponents, time first)."""
     kind, _, payload = text.partition(":")
     try:
         if kind == "const":
@@ -224,14 +208,10 @@ def parse_field_spec(text: str) -> FieldSpec:
             return MonomialField(
                 exponents=tuple(int(e) for e in payload.split(",") if e != "")
             )
-        if kind == "table":
-            return TableField(
-                values=tuple(float(v) for v in payload.split(",") if v != "")
-            )
     except ValueError as exc:
         raise ValueError(f"malformed field spec {text!r}: {exc}") from exc
     raise ValueError(
-        f"unknown field spec {text!r}; expected const:..., mono:..., or table:..."
+        f"unknown field spec {text!r}; expected const:... or mono:..."
     )
 
 

@@ -1,17 +1,22 @@
-"""Brute-force diagram enumeration, restricted class and cancellation replay, kept as test oracles.
+"""The diagram spec, brute-force enumeration, restricted class, cancellation
+replay and string projection, kept as test oracles.
 
 ``causetbox.diagrams`` generates the valid diagrams as block words, and
 answers ``count_restricted`` and ``verify_cancellation`` from a tally
 over those words without building a diagram.  The functions here answer
-the same questions the slow way.  :func:`brute_force_diagrams` walks
-every support, noncrossing matching and colour state and keeps the
-valid ones.  The restricted-class oracles read each diagram's first-end
-profile and bare runs off its chords, filter it, and replay the signed
-insertion multisets diagram by diagram in a ``Counter``.  The engines
-must equal them wherever they can run.  Enumerations are cached, because
-the same windows recur across the oracles and the tests; they use the
-fast generator, which ``test_diagrams`` checks against
-:func:`brute_force_diagrams`.
+the same questions the slow way.  :func:`is_valid_diagram` is the spec
+itself: it checks the class conditions listed in ``causetbox.diagrams``
+on any chord list, and refuses a malformed one.
+:func:`brute_force_diagrams` walks every support, noncrossing matching
+and colour state and keeps the valid ones.  The restricted-class oracles
+read each diagram's first-end profile and bare runs off its chords,
+filter it, and replay the signed insertion multisets diagram by diagram
+in a ``Counter``.  :func:`fiber_sizes` groups enumerated diagrams by
+:func:`odd_point_string`, the projection behind the counts in
+``causetbox.evenstrings``.  The engines must equal them wherever they
+can run.  Enumerations are cached, because the same windows recur across
+the oracles and the tests; they use the fast generator, which
+``test_diagrams`` checks against :func:`brute_force_diagrams`.
 """
 
 from __future__ import annotations
@@ -30,11 +35,82 @@ from causetbox.diagrams import (
     ChordDiagram,
     _noncrossing_matchings,
     enumerate_diagrams,
-    inside_points,
     restricted_class_parameters,
 )
 
 enumerated = functools.cache(enumerate_diagrams)
+
+
+def bare_points(diagram: ChordDiagram) -> frozenset[int]:
+    """The points no chord covers."""
+    covered = {p for chord in diagram.chords for p in (chord.low, chord.high)}
+    return frozenset(range(1, diagram.points + 1)) - covered
+
+
+def _check_well_formed(diagram: ChordDiagram) -> None:
+    seen: set[int] = set()
+    for chord in diagram.chords:
+        if not (1 <= chord.low < chord.high <= diagram.points):
+            raise ValueError(f"chord endpoints out of range: {chord}")
+        if chord.low in seen or chord.high in seen:
+            raise ValueError(f"chord endpoints must be pairwise distinct: {chord}")
+        seen.update((chord.low, chord.high))
+        if chord.color == BLACK:
+            if chord.first_end is not None:
+                raise ValueError(f"black chords carry no first end: {chord}")
+        elif chord.color in (RED, BLUE):
+            if chord.first_end not in (chord.low, chord.high):
+                raise ValueError(f"first end must be one of the endpoints: {chord}")
+        else:
+            raise ValueError(f"unknown color: {chord.color!r}")
+
+
+def inside_points(total_points: int, chord: Chord) -> frozenset[int]:
+    """The points cyclically after the chord's first end and before its
+    other end (both exclusive)."""
+    if chord.first_end is None:
+        raise ValueError("black chords have no designated inside")
+    other = chord.high if chord.first_end == chord.low else chord.low
+    points = []
+    position = chord.first_end % total_points + 1
+    while position != other:
+        points.append(position)
+        position = position % total_points + 1
+    return frozenset(points)
+
+
+def _crossing(a: Chord, b: Chord) -> bool:
+    return (a.low < b.low < a.high < b.high) or (b.low < a.low < b.high < a.high)
+
+
+def is_valid_diagram(diagram: ChordDiagram) -> bool:
+    """Whether the diagram satisfies all class conditions.
+
+    Checks, in order: noncrossing; every inside point of a red/blue
+    chord is covered by a black chord; every black chord lies inside
+    some red/blue chord; no red/blue chord lies inside another.
+    Malformed chords (shared endpoints, bad colors or first ends)
+    raise ``ValueError`` instead of returning ``False``.
+    """
+    _check_well_formed(diagram)
+    chords = diagram.chords
+    for a, b in itertools.combinations(chords, 2):
+        if _crossing(a, b):
+            return False
+    colored = [c for c in chords if c.color != BLACK]
+    black = [c for c in chords if c.color == BLACK]
+    black_covered = {p for c in black for p in (c.low, c.high)}
+    insides = {c: inside_points(diagram.points, c) for c in colored}
+    for c in colored:
+        if not insides[c] <= black_covered:
+            return False
+    for b_chord in black:
+        if not any({b_chord.low, b_chord.high} <= insides[c] for c in colored):
+            return False
+    for c, other in itertools.permutations(colored, 2):
+        if {c.low, c.high} <= insides[other]:
+            return False
+    return True
 
 
 def brute_force_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
@@ -132,7 +208,7 @@ def consecutive_bare_before(diagram: ChordDiagram, point: int) -> int:
     """
     if not 1 <= point <= diagram.points:
         raise ValueError(f"point {point} out of range 1..{diagram.points}")
-    bare = diagram.bare_points()
+    bare = bare_points(diagram)
     run = 0
     position = point - 1
     while position >= 1 and position in bare:
@@ -280,3 +356,34 @@ def cancellation_tally(dimension: int, index: int) -> Counter[tuple[bool, int]]:
         (is_in_restricted_class(diagram, gap_bound, place_bound), net[diagram])
         for diagram in enumerated(n_chords, target_points)
     )
+
+
+def odd_point_string(diagram: ChordDiagram) -> str:
+    """The binary string read off the odd points of an even diagram.
+
+    Entry ``l`` (1-based) is ``'1'`` when point ``2l - 1`` is covered by
+    a chord and ``'0'`` when it is bare.
+    """
+    if diagram.points % 2 != 0:
+        raise ValueError(
+            f"odd-point string needs an even point count, got {diagram.points}"
+        )
+    bare = bare_points(diagram)
+    half = diagram.points // 2
+    return "".join("0" if 2 * l - 1 in bare else "1" for l in range(1, half + 1))
+
+
+def fiber_sizes(n_chords: int, half_points: int) -> dict[str, int]:
+    """Group the diagrams on ``2 * half_points`` points by their string.
+
+    Every key has exactly ``n_chords`` ones, every string of length
+    ``half_points`` with that many ones occurs, and every fiber has
+    size exactly ``4**n_chords``; those facts are what the fiber
+    acceptance check asserts.  Bounded by the guard of
+    :func:`~causetbox.diagrams.enumerate_diagrams`.
+    """
+    sizes: dict[str, int] = {}
+    for diagram in enumerate_diagrams(n_chords, 2 * half_points):
+        key = odd_point_string(diagram)
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes

@@ -38,11 +38,7 @@ from causetbox.diagrams import (
     verify_cancellation,
     verify_coefficient_count,
 )
-from causetbox.evenstrings import (
-    count_constrained_paths,
-    count_constrained_strings,
-    fiber_sizes,
-)
+from causetbox.evenstrings import count_constrained_paths, count_constrained_strings
 from causetbox.genseries import diagram_series
 from causetbox.sprinkling import (
     ConstantField,
@@ -53,6 +49,7 @@ from causetbox.sprinkling import (
     estimate_box,
     sprinkle,
 )
+from diagram_oracle import fiber_sizes
 from gamma_oracle import alpha_over_beta_gamma_form
 
 

@@ -250,15 +250,6 @@ class TestAction:
         assert payload["size"] == 4
         assert payload["abundances"] == [4, 0, 1]
 
-    def test_round_trip_through_report(self, tmp_path):
-        from causetbox.causet import ActionReport
-
-        path = tmp_path / "diamond.json"
-        path.write_text(json.dumps(DIAMOND_JSON))
-        _, text = invoke(["action", "--input", str(path), "--dim", "2", "--ell", "0.5"])
-        payload = json.loads(text)
-        assert ActionReport.from_dict(payload).to_dict() == payload
-
     def test_missing_file_exits_2(self):
         code, _ = invoke(["action", "--input", "/no/such/file.json", "--dim", "2", "--ell", "1"])
         assert code == EXIT_USAGE

@@ -3,7 +3,8 @@
 Counts were frozen against the generating function (independent
 module) and, for the restricted classes, against hand-enumerated small
 cases.  The enumeration generates block words; ``diagram_oracle`` holds
-the brute-force filter over every candidate that it must equal, order
+the validity spec, checked here on hand-built diagrams, and the
+brute-force filter over every candidate that it must equal, order
 included.  The restricted count and the cancellation replay come from a
 tally that builds no diagram; ``diagram_oracle`` holds the
 diagram-by-diagram filter and replay it must equal.  Where the counting
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagram_oracle as oracle
-from causetbox.coefficients import scaled_coefficient
+from causetbox.coefficients import FeasibilityError, scaled_coefficient
 from causetbox.diagrams import (
     BLACK,
     BLUE,
@@ -31,14 +32,11 @@ from causetbox.diagrams import (
     RED,
     Chord,
     ChordDiagram,
-    FeasibilityError,
     _tally,
     _tally_size,
     count_diagrams,
     count_restricted,
     enumerate_diagrams,
-    inside_points,
-    is_valid_diagram,
     restricted_class_parameters,
     verify_cancellation,
     verify_coefficient_count,
@@ -48,7 +46,9 @@ from causetbox.genseries import diagram_series
 from diagram_oracle import (
     consecutive_bare_before,
     first_end_profile,
+    inside_points,
     is_in_restricted_class,
+    is_valid_diagram,
 )
 
 

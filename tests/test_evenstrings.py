@@ -4,7 +4,8 @@ String counts were frozen by exhaustive enumeration and verified to
 equal the layer-coefficient magnitudes; the path counts come from an
 independent dynamic program.  The generator builds only valid strings;
 :func:`brute_force_strings` filters every placement of the ones and is
-the oracle it must equal, order included.
+the oracle it must equal, order included.  The diagram-to-string
+projection and its fibers are checked on ``diagram_oracle``'s copy.
 """
 
 import itertools
@@ -14,17 +15,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from causetbox.coefficients import layer_coefficient, scaled_gamma_ratio
+from causetbox.coefficients import (
+    FeasibilityError,
+    layer_coefficient,
+    scaled_gamma_ratio,
+)
 from causetbox import evenstrings
-from causetbox.diagrams import RED, Chord, ChordDiagram, FeasibilityError
+from causetbox.diagrams import RED, Chord, ChordDiagram
 from causetbox.evenstrings import (
     MAX_STRING_CANDIDATES,
     count_constrained_paths,
     count_constrained_strings,
     enumerate_constrained_strings,
-    fiber_sizes,
-    odd_point_string,
 )
+from diagram_oracle import fiber_sizes, odd_point_string
 
 
 def brute_force_strings(dimension, index):

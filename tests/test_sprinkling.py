@@ -12,7 +12,6 @@ from causetbox.sprinkling import (
     ConstantField,
     DiamondConfig,
     MonomialField,
-    TableField,
     _check_budget,
     boost_coords,
     causal_matrix,
@@ -213,16 +212,11 @@ class TestFields:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_table_requires_matching_length(self):
-        causal_set = from_relations(2, [(0, 1)])
-        assert field_values(TableField((5.0, 7.0)), causal_set).tolist() == [5.0, 7.0]
-        with pytest.raises(ValueError):
-            field_values(TableField((5.0,)), causal_set)
-
     def test_parse(self):
         assert parse_field_spec("const:2.5") == ConstantField(2.5)
         assert parse_field_spec("mono:2,0") == MonomialField((2, 0))
-        assert parse_field_spec("table:1,2") == TableField((1.0, 2.0))
+        with pytest.raises(ValueError):
+            parse_field_spec("table:1,2")
         with pytest.raises(ValueError):
             parse_field_spec("nope:1")
         with pytest.raises(ValueError):
