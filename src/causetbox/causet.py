@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import coefficients  # memoized tables, looked up where a tracer patches them
-from .coefficients import FeasibilityError, num_layers
+from .coefficients import FeasibilityError, _check_int, _is_integer_type, num_layers
 
 __all__ = [
     "CausalSet",
@@ -202,18 +202,10 @@ def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
     return below, between
 
 
-def _check_integers(values: list, what: str) -> None:
-    # bools are refused too: numpy reads a bool index as a mask
-    for kind in set(map(type, values)):
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            raise ValueError(f"{what} must be an integer, not {kind.__name__}")
-
-
 def _check_elements(causal_set: CausalSet, *elements: int) -> None:
+    top = causal_set.size - 1
     for x in elements:
-        _check_integers([x], f"element index {x!r} (range 0..{causal_set.size - 1})")
-        if not 0 <= x < causal_set.size:
-            raise ValueError(f"element index {x} out of range 0..{causal_set.size - 1}")
+        _check_int(x, f"element index {x!r} (range 0..{top})", 0, top)
 
 
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:
@@ -228,9 +220,7 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
     :class:`~causetbox.coefficients.FeasibilityError` before any array is
     allocated.
     """
-    _check_integers([n_elements], "element count")
-    if n_elements < 0:
-        raise ValueError("element count must be >= 0")
+    n_elements = _check_int(n_elements, "element count", 0)
     _check_pass_budget(n_elements)
     try:  # one pass over the relations, one length check each, both in C
         pairs = list(pairs)
@@ -240,7 +230,10 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
     if not paired:
         raise ValueError("each relation must be a pair [a, b]")
     ends = list(itertools.chain.from_iterable(pairs))
-    _check_integers(ends, "each relation end")
+    # one test per distinct type, not per end: a file holds many thousands
+    for kind in set(map(type, ends)):
+        if not _is_integer_type(kind):
+            raise ValueError(f"each relation end must be an integer, not {kind.__name__}")
     try:  # an end beyond int64 is out of range as well
         flat = np.fromiter(ends, dtype=np.int64, count=len(ends))
         in_range = not flat.size or 0 <= flat.min() <= flat.max() < n_elements
@@ -282,9 +275,7 @@ def interval_size(causal_set: CausalSet, a: int, b: int) -> int:
 
 def layer(causal_set: CausalSet, x: int, i: int) -> frozenset[int]:
     """The i-th layer below ``x``: predecessors at closed-interval size i+1."""
-    _check_integers([i], "layer index")
-    if i < 1:
-        raise ValueError(f"layer index must be >= 1, got {i}")
+    _check_int(i, "layer index", 1)
     _check_elements(causal_set, x)
     below, between = _past(causal_set, x)
     return frozenset(below[between == i - 1].tolist())
@@ -295,6 +286,7 @@ def layer_sums(
 ) -> np.ndarray:
     """Sum of the field over each layer ``L_1(x) .. L_max_layer(x)``."""
     _check_elements(causal_set, x)
+    max_layer = _check_int(max_layer, "max_layer", 0)
     below, between = _past(causal_set, x)  # layer index is between + 1
     sums = np.bincount(between, weights=np.asarray(field)[below], minlength=max_layer)
     return sums[:max_layer].astype(float, copy=False)  # an empty past counts as ints
@@ -354,9 +346,7 @@ def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     """``N_1 .. N_max_i`` where ``N_i`` counts related pairs with
     closed-interval size ``i + 1``, read off the histogram the causal set
     kept from its interval pass (no product is taken)."""
-    _check_integers([max_i], "max_i")
-    if max_i < 1:
-        raise ValueError(f"max_i must be >= 1, got {max_i}")
+    max_i = _check_int(max_i, "max_i", 1)
     counts = causal_set._histogram[:max_i].tolist()  # N_i counts between == i - 1
     return tuple(counts + [0] * (max_i - len(counts)))
 

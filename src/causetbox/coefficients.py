@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,23 +51,36 @@ class FeasibilityError(Exception):
     """Raised when a requested size exceeds its feasibility guard."""
 
 
+def _is_integer_type(kind: type) -> bool:
+    """Whether ``kind`` counts as an integer: ``int`` and numpy integers, not bools
+    (numpy reads a bool index as a mask)."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _check_int(value: int, name: str, low: int, high: int | None = None) -> int:
+    """Return ``value`` as an ``int`` if it is an integer in ``low..high``.
+
+    Every count, index, dimension and seed of the package passes through
+    here.  ``high=None`` sets no upper bound.  Bools, floats, strings and
+    None raise ``ValueError("<name> must be an integer, not <type>")``, an
+    integer outside the range raises ``ValueError`` naming the range.  A
+    numpy integer comes back as an ``int``, so later arithmetic cannot
+    wrap.  An in-range ``int`` returns at once: messages are formatted
+    only when the value is refused.
+    """
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    if not _is_integer_type(type(value)):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def num_layers(dimension: int) -> int:
     """Number of layer coefficients in dimension ``dimension``: floor(d/2) + 2."""
-    _check_dimension(dimension)
-    return dimension // 2 + 2
-
-
-def _check_dimension(dimension: int) -> None:
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-
-
-def _check_index(dimension: int, index: int) -> None:
-    top = dimension // 2 + 2
-    if not 1 <= index <= top:
-        raise ValueError(
-            f"layer index must be in 1..{top} for dimension {dimension}, got {index}"
-        )
+    return _check_int(dimension, "dimension", 2) // 2 + 2
 
 
 def layer_coefficient(dimension: int, index: int) -> Fraction:
@@ -75,8 +89,7 @@ def layer_coefficient(dimension: int, index: int) -> Fraction:
     A lookup into :func:`coefficient_table`: the scaled integer
     :func:`scaled_coefficient` divided by ``2**(2*floor(d/2) + 2)``.
     """
-    _check_dimension(dimension)
-    _check_index(dimension, index)
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
     return coefficient_table(dimension).entries[index - 1]
 
 
@@ -86,8 +99,7 @@ def scaled_coefficient(dimension: int, index: int) -> int:
     A lookup into :func:`coefficient_table`, where it is the alternating
     sum ``sum_k binom(index-1, k) * (-1)**k * scaled_gamma_ratio(d, k)``.
     """
-    _check_dimension(dimension)
-    _check_index(dimension, index)
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
     return coefficient_table(dimension).scaled_entries[index - 1]
 
 
@@ -115,6 +127,8 @@ class CoefficientTable:
                 )
 
 
+# typed: 4.0 == 4, so an untyped cache would answer coefficient_table(4.0)
+# from the entry for 4 without reaching the check
 @functools.lru_cache(maxsize=8, typed=True)
 def coefficient_table(dimension: int) -> CoefficientTable:
     """Exact and scaled layer coefficients ``C_1 .. C_(floor(d/2)+2)``.
@@ -124,6 +138,7 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     ``k = 0 .. i-1``, an integer by construction, and the exact entry is
     that integer over ``2**(2*floor(d/2) + 2)``.
     """
+    dimension = _check_int(dimension, "dimension", 2)
     top = num_layers(dimension)
     ratios = [scaled_gamma_ratio(dimension, k) for k in range(top)]
     scaled = tuple(
@@ -142,9 +157,8 @@ def scaled_gamma_ratio(dimension: int, k: int) -> int:
     ``(2dk + 4h + 4)(2dk + 4h) ... (2dk + 4) / (h + 1)!`` with
     ``h = floor(d/2)``; the quotient is always a positive integer.
     """
-    _check_dimension(dimension)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    dimension = _check_int(dimension, "dimension", 2)
+    k = _check_int(k, "k", 0)
     h = dimension // 2
     product = math.prod(2 * dimension * k + 4 * level + 4 for level in range(h + 1))
     quotient, remainder = divmod(product, math.factorial(h + 1))
@@ -157,8 +171,7 @@ def scaled_gamma_ratio(dimension: int, k: int) -> int:
 
 def catalan_number(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1)."""
-    if n < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {n}")
+    n = _check_int(n, "Catalan index", 0)
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -167,7 +180,7 @@ def alpha_over_beta(dimension: int) -> Fraction:
 
     Even ``d``: ``-Catalan(d/2) / 2``; odd ``d``: ``-2**(d-1) / (d+1)``.
     """
-    _check_dimension(dimension)
+    dimension = _check_int(dimension, "dimension", 2)
     if dimension % 2 == 0:
         return Fraction(-catalan_number(dimension // 2), 2)
     return Fraction(-(2 ** (dimension - 1)), dimension + 1)
@@ -179,8 +192,7 @@ def sphere_surface_area(n: int) -> float:
     ``n = 0`` gives 2 (two points), ``n = 1`` gives 2*pi, ``n = 2``
     gives 4*pi.
     """
-    if n < 0:
-        raise ValueError(f"sphere dimension must be >= 0, got {n}")
+    n = _check_int(n, "sphere dimension", 0)
     return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
@@ -215,7 +227,7 @@ class OperatorConstants:
             )
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=8, typed=True)  # typed, as coefficient_table is
 def operator_constants(dimension: int) -> OperatorConstants:
     """Floating ``alpha``, ``beta`` and ``c_d`` for dimension ``dimension``.
 
@@ -223,8 +235,7 @@ def operator_constants(dimension: int) -> OperatorConstants:
     these constants carry genuinely irrational factors; the exact
     rational ratio is attached and cross-checked.
     """
-    _check_dimension(dimension)
-    d = dimension
+    d = _check_int(dimension, "dimension", 2)
     try:
         c_d = sphere_surface_area(d - 2) / (d * (d - 1) * 2.0 ** (d / 2 - 1))
         c_pow = c_d ** (2.0 / d)

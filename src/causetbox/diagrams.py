@@ -47,9 +47,9 @@ from typing import Iterator
 
 from .coefficients import (
     FeasibilityError,
-    _check_dimension,
-    _check_index,
+    _check_int,
     catalan_number,
+    num_layers,
     scaled_coefficient,
 )
 from .genseries import diagram_series
@@ -112,11 +112,9 @@ class ChordDiagram:
     chords: tuple[Chord, ...]
 
 
-def _check_sizes(n_chords: int, n_points: int) -> None:
-    if n_chords < 0:
-        raise ValueError(f"chord count must be >= 0, got {n_chords}")
-    if n_points < 1:
-        raise ValueError(f"point count must be >= 1, got {n_points}")
+def _check_sizes(n_chords: int, n_points: int) -> tuple[int, int]:
+    n_chords = _check_int(n_chords, "chord count", 0)
+    return n_chords, _check_int(n_points, "point count", 1)
 
 
 def _check_feasible(n_chords: int, n_points: int) -> None:
@@ -187,7 +185,7 @@ def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
     (``MAX_CHORDS`` chords, ``MAX_POINTS`` points) raise
     :class:`FeasibilityError` rather than running unbounded.
     """
-    _check_sizes(n_chords, n_points)
+    n_chords, n_points = _check_sizes(n_chords, n_points)
     _check_feasible(n_chords, n_points)
     keys = []
     for shape in _shapes(n_chords, n_points):
@@ -209,7 +207,7 @@ def count_diagrams(n_chords: int, n_points: int) -> int:
     diagram: the coefficient of :func:`~causetbox.genseries.diagram_series`.
     Windows of more than ``MAX_SERIES_CELLS`` cells raise
     :class:`FeasibilityError`."""
-    _check_sizes(n_chords, n_points)
+    n_chords, n_points = _check_sizes(n_chords, n_points)
     cells = (n_chords + 1) * (n_points + 1)
     if cells > MAX_SERIES_CELLS:
         raise FeasibilityError(
@@ -273,11 +271,9 @@ def _tally(
     far).  Runs are capped at ``gap_bound * place_bound``, past which no
     factor changes, and dropped once the width reaches ``place_bound``.
     """
-    _check_sizes(n_chords, n_points)
-    if gap_bound < 1 or place_bound < 0:
-        raise ValueError(
-            f"need gap bound >= 1 and place bound >= 0, got {gap_bound}, {place_bound}"
-        )
+    n_chords, n_points = _check_sizes(n_chords, n_points)
+    gap_bound = _check_int(gap_bound, "gap bound", 1)
+    place_bound = _check_int(place_bound, "place bound", 0)
     size = _tally_size(n_chords, n_points, gap_bound, place_bound)
     if size > MAX_TALLY_SIZE:
         raise FeasibilityError(
@@ -322,8 +318,8 @@ def restricted_class_parameters(dimension: int, index: int) -> tuple[int, int, i
     """The ``(n_chords, n_points, gap_bound, place_bound)`` tuple whose
     restricted count the scaled coefficient at ``(dimension, index)``
     is compared against."""
-    _check_dimension(dimension)
-    _check_index(dimension, index)
+    dimension = _check_int(dimension, "dimension", 2)
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
     half = dimension // 2
     n_chords = half + 1
     n_points = 2 * half + 2 + dimension * (index - 1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator
 
-from .coefficients import FeasibilityError, _check_index
+from .coefficients import FeasibilityError, _check_int, num_layers
 
 __all__ = [
     "enumerate_constrained_strings",
@@ -38,9 +38,11 @@ __all__ = [
 MAX_STRING_CANDIDATES = 2_000_000
 
 
-def _check_even_dimension(dimension: int) -> None:
-    if dimension < 2 or dimension % 2 != 0:
+def _check_even_dimension(dimension: int) -> int:
+    dimension = _check_int(dimension, "dimension", 2)
+    if dimension % 2 != 0:
         raise ValueError(f"dimension must be an even integer >= 2, got {dimension}")
+    return dimension
 
 
 def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
@@ -58,8 +60,8 @@ def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
     guard is checked first, and only when it stays under the guard is
     the exact count taken from :func:`count_constrained_paths`.
     """
-    _check_even_dimension(dimension)
-    _check_index(dimension, index)
+    dimension = _check_even_dimension(dimension)
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
     length = dimension // 2 + 1 + dimension * (index - 1) // 2
     if length > MAX_STRING_CANDIDATES:
         raise FeasibilityError(
@@ -151,8 +153,8 @@ def count_constrained_paths(dimension: int, index: int) -> int:
     the 1 -> right, 0 -> up correspondence.  It takes
     ``O(dimension**2 * index)`` integer additions and no recursion.
     """
-    _check_even_dimension(dimension)
-    _check_index(dimension, index)
+    dimension = _check_even_dimension(dimension)
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
     right_steps = dimension // 2 + 1
     up_steps = dimension * (index - 1) // 2
     max_run = dimension // 2

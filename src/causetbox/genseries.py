@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .coefficients import _check_int
+
 __all__ = [
     "BivariateSeries",
     "diagram_series",
@@ -37,12 +39,8 @@ class BivariateSeries:
 
     def coefficient(self, n: int, m: int) -> int:
         """The coefficient of x**n * y**m."""
-        if not (0 <= n <= self.max_x and 0 <= m <= self.max_y):
-            raise ValueError(
-                f"coefficient ({n}, {m}) outside truncation window "
-                f"({self.max_x}, {self.max_y})"
-            )
-        return self.coeffs[n][m]
+        n = _check_int(n, "n", 0, self.max_x)
+        return self.coeffs[n][_check_int(m, "m", 0, self.max_y)]
 
 
 def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
@@ -57,8 +55,8 @@ def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
     filled in increasing ``n`` and ``m``.  The numerator's inverse
     square root contributes ``binom(2n, n)`` at ``x**n * y**(2n+1)``.
     """
-    if max_x < 0 or max_y < 0:
-        raise ValueError("truncation orders must be >= 0")
+    max_x = _check_int(max_x, "max_x", 0)
+    max_y = _check_int(max_y, "max_y", 0)
     table: list[list[int]] = []
     below = [0] * (max_y + 1)  # row n-1 of F; zero for n = 0
     for n in range(max_x + 1):
@@ -80,8 +78,8 @@ def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
 
 def closed_coeff_even(n: int, i: int) -> int:
     """Closed form for the coefficient of x**n * y**(2i): 4**n * binom(i, n)."""
-    if n < 0 or i <= 0:
-        raise ValueError(f"need n >= 0 and i > 0, got n={n}, i={i}")
+    n = _check_int(n, "n", 0)
+    i = _check_int(i, "i", 1)
     return 4**n * math.comb(i, n)
 
 
@@ -92,11 +90,8 @@ def closed_coeff_odd(n: int, i: int) -> int:
     ``(4j + 6)(4j + 10) ... (4j + 4n + 2) / n!`` (n factors stepping
     by 4), an exact integer.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if i < n:
-        raise ValueError(f"need i >= n, got n={n}, i={i}")
-    j = i - n
+    n = _check_int(n, "n", 0)
+    j = _check_int(i, "i", n) - n
     product = math.prod(4 * j + 4 * level + 2 for level in range(1, n + 1))
     quotient, remainder = divmod(product, math.factorial(n))
     if remainder:

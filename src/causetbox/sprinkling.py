@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causet import MAX_ARRAY_BYTES, CausalSet, box_operator
-from .coefficients import FeasibilityError, _check_dimension
+from .coefficients import FeasibilityError, _check_int
 
 __all__ = [
     "DiamondConfig",
@@ -52,7 +52,8 @@ class DiamondConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_dimension(self.dimension)
+        _check_int(self.dimension, "dimension", 2)
+        _check_int(self.seed, "seed", 0)
         if not self.density > 0:
             raise ValueError(f"density must be positive, got {self.density}")
         if not self.half_height > 0:
@@ -95,10 +96,9 @@ def diamond_volume(dimension: int, half_height: float) -> float:
     (d-1)-ball volume ``pi**((d-1)/2) / gamma((d+1)/2)``.  For d = 2
     this is ``2 * T**2``.
     """
-    _check_dimension(dimension)
+    d = _check_int(dimension, "dimension", 2)
     if half_height < 0:
         raise ValueError(f"half height must be >= 0, got {half_height}")
-    d = dimension
     try:
         unit_ball = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
         volume = 2.0 * unit_ball * half_height**d / d
@@ -246,8 +246,7 @@ def estimate_box(
     request whose arrays exceed ``MAX_ARRAY_BYTES`` raises
     :class:`~causetbox.coefficients.FeasibilityError` before any is allocated.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_int(trials, "trials", 1)
     _check_budget(config, trials)
     values = np.empty(trials)
     for trial in range(trials):

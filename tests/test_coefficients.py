@@ -241,7 +241,7 @@ class TestMemo:
 
     def test_non_int_dimension_is_not_served_from_the_cache(self):
         coefficient_table(4)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="dimension must be an integer, not float"):
             coefficient_table(4.0)
 
     def test_an_estimate_computes_the_table_once(self, monkeypatch):
