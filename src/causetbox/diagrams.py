@@ -240,12 +240,13 @@ def _block_factor(run: int, slots: int, gap_bound: int) -> tuple[bool, int]:
     class when ``run < gap_bound``; the replay can have inserted ``j``
     blocks of ``gap_bound`` points before it for every ``j`` up to
     ``min(slots, run // gap_bound)``, in ``binom(slots, j)`` ways and
-    with sign ``(-1)**j``.
+    with sign ``(-1)**j``.  That partial alternating sum of binomials is
+    ``(-1)**top * binom(slots - 1, top)`` for ``slots >= 1``.
     """
     if not slots:
         return True, 1
     top = min(slots, run // gap_bound)
-    return run < gap_bound, sum((-1) ** j * math.comb(slots, j) for j in range(top + 1))
+    return run < gap_bound, (-1) ** top * math.comb(slots - 1, top)
 
 
 def _tally_size(n_chords: int, n_points: int, gap_bound: int, place_bound: int) -> int:

@@ -14,6 +14,7 @@ asserts the identity itself and is honestly red there.
 """
 
 import itertools
+import math
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from causetbox.diagrams import (
     RED,
     Chord,
     ChordDiagram,
+    _block_factor,
     _tally,
     _tally_size,
     count_diagrams,
@@ -345,6 +347,13 @@ class TestEngineMatchesOracle:
             for m in range(1, 21):
                 total = sum(_tally(n, m, 3, 2).values())
                 assert total == window.coefficient(n, m), (n, m)
+
+    def test_block_factor_equals_the_alternating_sum(self):
+        for slots in range(1, 31):
+            for top in range(slots + 1):
+                want = sum((-1) ** j * math.comb(slots, j) for j in range(top + 1))
+                for gap in (1, 3):
+                    assert _block_factor(gap * top, slots, gap) == (top < 1, want)
 
     def test_tally_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
