@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from causetbox import cli, evenstrings
+from causetbox import cli, coefficients, evenstrings
 from causetbox.cli import (
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
@@ -75,6 +75,18 @@ class TestCoeffs:
     def test_bad_dimension(self):
         code, _ = invoke(["coeffs", "--dim", "0"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("dim", ["2400", "5000", "1000000000"])
+    def test_unprintable_table_exits_3_before_any_product(self, dim, monkeypatch):
+        def refuse(dimension, k):
+            raise AssertionError("a refused table computed a gamma ratio")
+
+        monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse)
+        code, text, errors = invoke_with_errors(["coeffs", "--dim", dim])
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert f"digits for d={dim} (guard: <= 4300," in errors
 
 
 class TestEnumerate:

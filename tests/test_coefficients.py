@@ -7,6 +7,7 @@ reduced by hand, and the scaled integer identity
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, strategies as st
 
 from causetbox import coefficients
 from causetbox.coefficients import (
+    FeasibilityError,
+    _table_digits,
     alpha_over_beta,
     catalan_number,
     coefficient_table,
@@ -258,3 +261,65 @@ class TestMemo:
         estimate_box(config, ConstantField(1.0), 20)
         assert calls == [(2, k) for k in range(num_layers(2))]
         coefficient_table.cache_clear()  # drop the table built under the patch
+
+
+def scaled_entries_by_differences(d):
+    """The scaled entries of dimension ``d`` without the table's binomial sums:
+    entry ``i`` is ``(-1)**(i-1)`` times the ``(i-1)``-th forward difference of
+    the gamma ratios at ``k = 0``, and one difference table holds them all."""
+    row = [scaled_gamma_ratio(d, k) for k in range(num_layers(d))]
+    entries = []
+    while row:
+        entries.append((-1) ** len(entries) * row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(entries)
+
+
+def refuse_products(dimension, k):
+    raise AssertionError("a refused table computed a gamma ratio")
+
+
+class TestPrintGuard:
+    """A table whose integers ``str`` could not convert is refused up front.
+    No test here reads a clock: a refusal is shown to take no product."""
+
+    def test_estimate_bounds_every_printed_integer(self):
+        for d in range(2, 601):
+            scaled = scaled_entries_by_differences(d)
+            if d <= 100:
+                assert scaled == coefficient_table(d).scaled_entries
+            # a numerator divides its scaled entry, a denominator the scale
+            scale = 2 ** (2 * (d // 2) + 2)
+            assert _table_digits(d) >= len(str(max(scale, *map(abs, scaled)))), d
+
+    @pytest.mark.parametrize("limit, admitted", [(640, 385), (1000, 571)])
+    def test_each_side_of_the_cut_under_a_lowered_limit(self, limit, admitted, monkeypatch):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            coefficient_table.cache_clear()
+            table = coefficient_table(admitted)
+            assert max(len(str(abs(v))) for v in table.scaled_entries) <= limit
+            monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
+            digits = _table_digits(admitted + 1)
+            assert digits > limit
+            with pytest.raises(FeasibilityError, match=f"about {digits} digits for "
+                               f"d={admitted + 1} \\(guard: <= {limit},"):
+                coefficient_table(admitted + 1)
+        finally:
+            sys.set_int_max_str_digits(old)
+            coefficient_table.cache_clear()
+
+    def test_an_unlimited_interpreter_is_held_to_the_default(self, monkeypatch):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
+            default = sys.int_info.default_max_str_digits
+            with pytest.raises(FeasibilityError, match=f"<= {default},"):
+                coefficient_table(2118)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_the_cut_admits_every_dimension_up_to_2117(self):
+        assert max(_table_digits(d) for d in range(2, 2118)) <= 4300 < _table_digits(2118)
