@@ -359,6 +359,7 @@ def gravitational_action(causal_set: CausalSet, dimension: int, length_scale: fl
     overall dimension-independent normalization is fixed to 1.
     """
     _check_length_scale(length_scale)
+    dimension = _check_int(dimension, "dimension", 2)  # an int in the report
     constants = coefficients.operator_constants(dimension)
     abundances = interval_abundances(causal_set, num_layers(dimension))
     beta_over_alpha = float(1 / constants.alpha_over_beta_exact)

@@ -346,9 +346,9 @@ def _in_class(tally: dict[tuple[bool, int], int]) -> int:
 def verify_layer(dimension: int, index: int) -> tuple[bool, bool]:
     """``(verify_coefficient_count, verify_cancellation)`` at
     ``(dimension, index)``, both read off one tally."""
-    tally = _tally(*restricted_class_parameters(dimension, index))
-    count = _in_class(tally)
-    count_ok = scaled_coefficient(dimension, index) == (-1) ** (index - 1) * count
+    n_chords, n_points, gap_bound, place_bound = restricted_class_parameters(dimension, index)
+    tally = _tally(n_chords, n_points, gap_bound, place_bound)  # place_bound is index - 1
+    count_ok = scaled_coefficient(dimension, index) == (-1) ** place_bound * _in_class(tally)
     return count_ok, all(net == in_class for in_class, net in tally)
 
 

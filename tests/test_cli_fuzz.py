@@ -47,7 +47,10 @@ def command(name, *options, flags=()):
 
 
 # Well-typed argv: every value parses, many are out of range or over a guard.
-COEFFS = command("coeffs", ("--dim", ints(-2, 45)))
+# large dimensions: tables too large to print, refused before any product
+COEFFS = command(
+    "coeffs", ("--dim", st.one_of(ints(-2, 45), st.sampled_from(["2400", "5000", "1000000000"])))
+)
 ENUMERATE = command(
     "enumerate", ("--chords", ints(-1, 6)), ("--points", ints(-1, 18)), flags=["--list"]
 )
@@ -72,6 +75,7 @@ EXTREMES = (
     + [("--field", v) for v in ("const:nan", "mono:0,-1", "mono:x", "table:", "cubic:1")]
     + [("--density", v) for v in ("0", "-1", "nan", "inf", "1e300")]
     + [("--ell", v) for v in ("0", "-1", "nan", "1e-300", "1e300")]
+    + [("--seed", "-1")]
 )
 
 
