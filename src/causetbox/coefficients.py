@@ -113,7 +113,7 @@ class CoefficientTable:
     scaled_entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        scale = 2 ** (2 * (self.dimension // 2) + 2)
+        scale = 2 ** (2 * num_layers(self.dimension) - 2)  # 2**(2*floor(d/2) + 2), in ints
         if len(self.entries) != num_layers(self.dimension):
             raise ValueError("coefficient table has the wrong number of entries")
         for position, (exact, scaled) in enumerate(

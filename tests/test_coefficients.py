@@ -10,6 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,6 +137,12 @@ class TestCoefficientTable:
                 entries=(Fraction(1), Fraction(2), Fraction(1)),
                 scaled_entries=(16, 32, 16),
             )
+
+    def test_numpy_dimension_scales_without_wrapping(self):
+        from causetbox.coefficients import CoefficientTable
+
+        table = coefficient_table(70)  # a scale of 2**72 would wrap in int64
+        CoefficientTable(np.int64(70), table.entries, table.scaled_entries)
 
 
 class TestMatchesGammaOracle:
@@ -266,8 +273,13 @@ class TestMemo:
 def scaled_entries_by_differences(d):
     """The scaled entries of dimension ``d`` without the table's binomial sums:
     entry ``i`` is ``(-1)**(i-1)`` times the ``(i-1)``-th forward difference of
-    the gamma ratios at ``k = 0``, and one difference table holds them all."""
-    row = [scaled_gamma_ratio(d, k) for k in range(num_layers(d))]
+    the gamma ratios ``(2dk + 4)(2dk + 8) ... (2dk + 4h + 4) / (h + 1)!`` at
+    ``k = 0``, and one difference table holds them all."""
+    h = d // 2
+    row = [
+        math.prod(range(2 * d * k + 4, 2 * d * k + 4 * h + 5, 4)) // math.factorial(h + 1)
+        for k in range(h + 2)
+    ]
     entries = []
     while row:
         entries.append((-1) ** len(entries) * row[0])
