@@ -142,7 +142,8 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     """
     dimension = _check_int(dimension, "dimension", 2)
     digits = _table_digits(dimension)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # before 3.10.7 there is no limit to read; such interpreters get the default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if digits > limit:
         raise FeasibilityError(
             f"coefficient table too large to print: about {digits} digits for d={dimension} "
@@ -160,13 +161,16 @@ def coefficient_table(dimension: int) -> CoefficientTable:
 
 
 def _table_digits(dimension: int) -> int:
-    """Digits of the table's largest gamma ratio, ``k = h + 1``, from ``lgamma``:
-    ``4**(h+1) * Gamma(x + h + 2) / (Gamma(x + 1) * (h + 1)!)`` with ``x = d*k/2``.
-    It is 7 to 8 % above the largest printed integer where checked."""
-    h = dimension // 2
-    x = dimension * (h + 1) / 2
-    ln_ratio = math.lgamma(x + h + 2) - math.lgamma(x + 1) - math.lgamma(h + 2)
-    return int((ln_ratio + (h + 1) * math.log(4)) / math.log(10)) + 1
+    """Digits of the table's largest gamma ratio, ``k = h + 1``:
+    ``4**n * (x + 1)(x + 2) ... (x + n) / n!`` with ``n = h + 1``, ``x = d*n/2``.
+    Bounded above without cancellation, the n factors by n times their mean
+    ``x + (n+1)/2`` (log is concave) and ``n!`` by Stirling's lower bound, and
+    evaluated in rationals, so every ``d`` is answered at once.  It is 7 to
+    8 % above the largest printed integer where checked."""
+    n = dimension // 2 + 1
+    per_factor = math.log(2 * dimension + 2) + math.log1p(1 / (n * (dimension + 1))) + 1
+    ln_ratio = n * Fraction(per_factor) - Fraction(math.log(n) + math.log(2 * math.pi)) / 2
+    return math.floor(ln_ratio / Fraction(math.log(10))) + 1
 
 
 def scaled_gamma_ratio(dimension: int, k: int) -> int:

@@ -76,7 +76,9 @@ class TestCoeffs:
         code, _ = invoke(["coeffs", "--dim", "0"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("dim", ["2400", "5000", "1000000000"])
+    @pytest.mark.parametrize(
+        "dim", ["2400", "5000", "1000000000", str(10**17), str(10**200)]
+    )
     def test_unprintable_table_exits_3_before_any_product(self, dim, monkeypatch):
         def refuse(dimension, k):
             raise AssertionError("a refused table computed a gamma ratio")

@@ -49,7 +49,14 @@ def command(name, *options, flags=()):
 # Well-typed argv: every value parses, many are out of range or over a guard.
 # large dimensions: tables too large to print, refused before any product
 COEFFS = command(
-    "coeffs", ("--dim", st.one_of(ints(-2, 45), st.sampled_from(["2400", "5000", "1000000000"])))
+    "coeffs",
+    (
+        "--dim",
+        st.one_of(
+            ints(-2, 45),
+            st.sampled_from(["2400", "5000", "1000000000", str(10**17), str(10**200)]),
+        ),
+    ),
 )
 ENUMERATE = command(
     "enumerate", ("--chords", ints(-1, 6)), ("--points", ints(-1, 18)), flags=["--list"]

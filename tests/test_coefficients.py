@@ -335,3 +335,31 @@ class TestPrintGuard:
 
     def test_the_cut_admits_every_dimension_up_to_2117(self):
         assert max(_table_digits(d) for d in range(2, 2118)) <= 4300 < _table_digits(2118)
+
+    def test_an_interpreter_without_a_limit_to_read_is_held_to_the_default(
+        self, monkeypatch
+    ):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
+        with pytest.raises(FeasibilityError, match="<= 4300,"):
+            coefficient_table(2118)
+
+    @pytest.mark.parametrize("exponent", [17, 200, 400])
+    def test_huge_dimensions_are_refused_before_any_product(self, exponent, monkeypatch):
+        # the factors x + j round to x in floats from about d = 1e16, and
+        # d * n overflows a float from about d = 1e154
+        monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
+        digits = _table_digits(10**exponent)
+        assert exponent * 10**exponent // 2 < digits < (exponent + 2) * 10**exponent // 2
+        with pytest.raises(FeasibilityError, match=f"about {digits} digits"):
+            coefficient_table(10**exponent)
+
+    def test_estimate_bounds_the_exact_log_sum(self):
+        for d in [*range(2, 400), 2117, 2118, 5000]:
+            n = d // 2 + 1
+            x = d * n / 2
+            ln_ratio = n * math.log(4) + math.fsum(
+                math.log(x + j) for j in range(1, n + 1)
+            ) - math.lgamma(n + 1)
+            assert _table_digits(d) >= ln_ratio / math.log(10), d
+            assert _table_digits(d) <= ln_ratio / math.log(10) + 1.05, d
