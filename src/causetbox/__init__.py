@@ -5,7 +5,7 @@ Subpackages by theme:
 * :mod:`causetbox.coefficients` — exact layer coefficients, scaled
   integers, the alpha/beta ratio, floating operator constants.
 * :mod:`causetbox.genseries` — the diagram generating function as a
-  truncated integer series with closed-form coefficient extraction.
+  truncated integer series.
 * :mod:`causetbox.diagrams` — colored noncrossing partial chord
   diagrams, restricted counts, and the signed-insertion verification.
 * :mod:`causetbox.evenstrings` — the even-dimension binary-string and

@@ -71,6 +71,16 @@ def _render(answer: _Answer, output_format: str) -> str:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Answer:
+    # a lowered integer string limit refuses the table before any product;
+    # 0 is no limit, and interpreters before 3.10.7 have none to read
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        digits = coefficients._table_digits(coefficients._check_int(args.dim, "dimension", 2))
+        if digits > limit:
+            raise coefficients.FeasibilityError(
+                f"coefficient table too large to print: about {digits} digits for "
+                f"d={args.dim} (guard: <= {limit}, the interpreter's integer string limit)"
+            )
     table = coefficients.coefficient_table(args.dim)
     rows = [
         [table.dimension, i, entry.numerator, entry.denominator, scaled]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,16 +137,15 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     ``sum_k binom(i-1, k) * (-1)**k * scaled_gamma_ratio(d, k)`` over
     ``k = 0 .. i-1``, an integer by construction, and the exact entry is
     that integer over ``2**(2*floor(d/2) + 2)``.  A table with more digits
-    than ``str`` converts raises :class:`FeasibilityError` before any product.
+    than Python's default integer string limit, 4300, raises
+    :class:`FeasibilityError` before any product, whatever limit is set.
     """
     dimension = _check_int(dimension, "dimension", 2)
     digits = _table_digits(dimension)
-    # before 3.10.7 there is no limit to read; such interpreters get the default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if digits > limit:
+    if digits > 4300:
         raise FeasibilityError(
-            f"coefficient table too large to print: about {digits} digits for d={dimension} "
-            f"(guard: <= {limit}, the interpreter's integer string limit)"
+            f"coefficient table too large: about {digits} digits for d={dimension} "
+            f"(guard: <= 4300, Python's default integer string limit)"
         )
     top = num_layers(dimension)
     ratios = [scaled_gamma_ratio(dimension, k) for k in range(top)]

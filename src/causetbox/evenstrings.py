@@ -4,21 +4,22 @@ For diagrams on an even number of points ``2j``, reading off which of
 the odd points ``1, 3, ..., 2j-1`` are covered gives a binary string of
 length ``j``; every diagram with ``n`` chords maps to a string with
 exactly ``n`` ones, and every such string has exactly ``4**n``
-preimages.  In even dimension ``d`` this turns the layer coefficients
-into honest counts: the number of binary strings with ``d/2 + 1`` ones
-and ``d*(i-1)/2`` zeros in which each of the first ``i-1`` ones is
-preceded by fewer than ``d/2`` consecutive zeros equals
-``(-1)**(i-1) * C_i``.  Unlike the diagram-level restricted count,
-this string identity holds at every index.  The lattice-path count is
-the same quantity through an independent route (a walk with ``1`` as a
-right step and ``0`` as an up step, computed by dynamic programming
-instead of enumeration).  The projection and its ``4**n`` fibers are
-checked over enumerated diagrams in ``tests/diagram_oracle.py``;
-nothing here builds a diagram.
+preimages.  In even dimension ``d = 2h`` this turns the layer
+coefficients into honest counts: the number of binary strings with
+``h + 1`` ones and ``h*(i-1)`` zeros in which each of the first ``i-1``
+ones is preceded by fewer than ``h`` consecutive zeros equals
+``(-1)**(i-1) * C_i``, at every index.  Inclusion-exclusion over those
+``i-1`` zero runs (Stanley, *EC1* §2.1) gives the count as
+``sum_j (-1)**j * binom(i-1, j) * binom(h*(i-j) + 1, h + 1)``; a walk
+with ``1`` as a right step and ``0`` as an up step gives it again by
+dynamic programming, and the generator builds the strings for listing.
+The projection and its ``4**n`` fibers are checked over enumerated
+diagrams in ``tests/diagram_oracle.py``; nothing here builds a diagram.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Iterator
 
@@ -31,18 +32,27 @@ __all__ = [
     "MAX_STRING_CANDIDATES",
 ]
 
-#: Feasibility guard for string enumeration: the number of strings it
-#: would generate, and the length of one string, checked before
-#: generating.  d = 12, i = 6 has 1,459,296 strings; d = 14, i = 4 has
-#: 3,352,139.
+#: Size guard, checked before any work: every function here refuses a walk
+#: of more than this many cells, ``(d/2 + 1) * (d*(i-1)/2 + 1)``, which
+#: bounds the dynamic program and the string length; the generator also
+#: refuses more strings than this (d = 14, i = 4 has 3,352,139).
 MAX_STRING_CANDIDATES = 2_000_000
 
 
-def _check_even_dimension(dimension: int) -> int:
+def _check_walk(dimension: int, index: int) -> tuple[int, int]:
+    """The checked ``(dimension, index)``; a walk of more than
+    ``MAX_STRING_CANDIDATES`` cells raises :class:`FeasibilityError`."""
     dimension = _check_int(dimension, "dimension", 2)
     if dimension % 2 != 0:
         raise ValueError(f"dimension must be an even integer >= 2, got {dimension}")
-    return dimension
+    index = _check_int(index, "layer index", 1, num_layers(dimension))
+    cells = (dimension // 2 + 1) * (dimension * (index - 1) // 2 + 1)
+    if cells > MAX_STRING_CANDIDATES:
+        raise FeasibilityError(
+            f"string walk too large: {cells} cells for d={dimension}, i={index} "
+            f"(guard: <= {MAX_STRING_CANDIDATES})"
+        )
+    return dimension, index
 
 
 def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
@@ -54,58 +64,17 @@ def enumerate_constrained_strings(dimension: int, index: int) -> Iterator[str]:
     end of the string.  Only valid strings are built, by stepping
     through the zero run before each one in ascending order (the
     trailing run takes the rest), so they come in the order of their one
-    positions.  More than ``MAX_STRING_CANDIDATES`` strings, or strings
-    longer than that many characters, raise :class:`FeasibilityError`
-    at once: a lower bound on the count that stops growing past the
-    guard is checked first, and only when it stays under the guard is
-    the exact count taken from :func:`count_constrained_paths`.
+    positions.  More than ``MAX_STRING_CANDIDATES`` strings, by the
+    closed-form count, raise :class:`FeasibilityError` before any is built.
     """
-    dimension = _check_even_dimension(dimension)
-    index = _check_int(index, "layer index", 1, num_layers(dimension))
-    length = dimension // 2 + 1 + dimension * (index - 1) // 2
-    if length > MAX_STRING_CANDIDATES:
+    dimension, index = _check_walk(dimension, index)
+    count = _string_count(dimension, index)
+    if count > MAX_STRING_CANDIDATES:
         raise FeasibilityError(
-            f"string enumeration too large: strings of {length} characters for "
-            f"d={dimension}, i={index} (guard: <= {MAX_STRING_CANDIDATES})"
-        )
-    too_many = _count_floor_exceeds(dimension, index, MAX_STRING_CANDIDATES)
-    strings = None if too_many else count_constrained_paths(dimension, index)
-    if too_many or strings > MAX_STRING_CANDIDATES:
-        counted = f"more than {MAX_STRING_CANDIDATES}" if too_many else strings
-        raise FeasibilityError(
-            f"string enumeration too large: {counted} strings for "
+            f"string enumeration too large: {count} strings for "
             f"d={dimension}, i={index} (guard: <= {MAX_STRING_CANDIDATES})"
         )
     return _constrained_strings(dimension, index)
-
-
-def _count_floor_exceeds(dimension: int, index: int, cap: int) -> bool:
-    """Whether a lower bound on the number of constrained strings
-    exceeds ``cap``; the bound is built only until it does, so this
-    takes a few dozen integer steps.
-
-    The zero runs before the first ``index - 1`` ones can each take any
-    length in ``0..d/2 - 1`` (the trailing run absorbs the rest), which
-    gives ``(d/2)**(index-1)`` strings; or those ones can open the
-    string and the other ``d/2 + 2 - index`` ones stand anywhere among
-    the zeros, which gives ``binom(zeros + free, free)`` strings.
-    """
-    half = dimension // 2
-    zeros = dimension * (index - 1) // 2
-    free = half + 2 - index
-    power = 1
-    for _ in range(index - 1):
-        power *= half
-        if power > cap:
-            return True
-    # binom(zeros + free, low), one factor at a time
-    low, high = min(zeros, free), max(zeros, free)
-    binomial = 1
-    for j in range(1, low + 1):
-        binomial = binomial * (high + j) // j
-        if binomial > cap:
-            return True
-    return False
 
 
 def _constrained_strings(dimension: int, index: int) -> Iterator[str]:
@@ -133,12 +102,21 @@ def _constrained_strings(dimension: int, index: int) -> Iterator[str]:
 
 
 def count_constrained_strings(dimension: int, index: int) -> int:
-    """Number of constrained strings, by direct enumeration.
+    """Number of constrained strings, by inclusion-exclusion.
 
     Equals ``(-1)**(index-1)`` times the exact layer coefficient for
-    every even dimension.
+    every even dimension.  It takes ``index`` binomials, and no string
+    is built.
     """
-    return sum(1 for _ in enumerate_constrained_strings(dimension, index))
+    return _string_count(*_check_walk(dimension, index))
+
+
+def _string_count(dimension: int, index: int) -> int:
+    half = dimension // 2
+    return sum(
+        (-1) ** j * math.comb(index - 1, j) * math.comb(half * (index - j) + 1, half + 1)
+        for j in range(index)
+    )
 
 
 def count_constrained_paths(dimension: int, index: int) -> int:
@@ -149,12 +127,11 @@ def count_constrained_paths(dimension: int, index: int) -> int:
     than ``dimension/2`` up steps may be taken.  The count is built
     column by column from the right, over the up steps still to take,
     with a prefix sum for each column's window of step counts — a route
-    independent of the string enumeration, to which it is equal under
-    the 1 -> right, 0 -> up correspondence.  It takes
-    ``O(dimension**2 * index)`` integer additions and no recursion.
+    independent of the closed form, to which it is equal under the
+    1 -> right, 0 -> up correspondence.  It takes one integer addition
+    per cell of the walk and no recursion.
     """
-    dimension = _check_even_dimension(dimension)
-    index = _check_int(index, "layer index", 1, num_layers(dimension))
+    dimension, index = _check_walk(dimension, index)
     right_steps = dimension // 2 + 1
     up_steps = dimension * (index - 1) // 2
     max_run = dimension // 2

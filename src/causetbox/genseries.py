@@ -10,8 +10,9 @@ the closed-form generating function
 where ``x`` marks chords and ``y`` marks points.  This module expands
 that closed form on an all-integer path — the inverse square root via
 central binomial coefficients, the division by ``1 - y**2 * (1 + 4x)``
-as a three-term recurrence on the coefficients — and provides the two
-closed-form coefficient extractions.
+as a three-term recurrence on the coefficients.  The closed forms of
+its even and odd coefficients live in ``tests/test_genseries.py``, where
+the tests check them against the series.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .coefficients import _check_int
 __all__ = [
     "BivariateSeries",
     "diagram_series",
-    "closed_coeff_even",
-    "closed_coeff_odd",
 ]
 
 
@@ -74,26 +73,3 @@ def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
         max_y=max_y,
         coeffs=tuple(tuple(row) for row in table),
     )
-
-
-def closed_coeff_even(n: int, i: int) -> int:
-    """Closed form for the coefficient of x**n * y**(2i): 4**n * binom(i, n)."""
-    n = _check_int(n, "n", 0)
-    i = _check_int(i, "i", 1)
-    return 4**n * math.comb(i, n)
-
-
-def closed_coeff_odd(n: int, i: int) -> int:
-    """Closed form for the coefficient of x**n * y**(2i+1).
-
-    With ``j = i - n`` this is the product
-    ``(4j + 6)(4j + 10) ... (4j + 4n + 2) / n!`` (n factors stepping
-    by 4), an exact integer.
-    """
-    n = _check_int(n, "n", 0)
-    j = _check_int(i, "i", n) - n
-    product = math.prod(4 * j + 4 * level + 2 for level in range(1, n + 1))
-    quotient, remainder = divmod(product, math.factorial(n))
-    if remainder:
-        raise ArithmeticError(f"odd-coefficient product not divisible by n!: {n}, {i}")
-    return quotient

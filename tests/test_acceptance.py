@@ -38,7 +38,11 @@ from causetbox.diagrams import (
     verify_cancellation,
     verify_coefficient_count,
 )
-from causetbox.evenstrings import count_constrained_paths, count_constrained_strings
+from causetbox.evenstrings import (
+    count_constrained_paths,
+    count_constrained_strings,
+    enumerate_constrained_strings,
+)
 from causetbox.genseries import diagram_series
 from causetbox.sprinkling import (
     ConstantField,
@@ -221,9 +225,9 @@ def test_criterion_06_fiber_uniformity(capsys):
 
 
 def test_criterion_07_even_dimension_string_counts(capsys):
-    """count_constrained_strings(d, i) == (-1)**(i-1) * C_i^(d) and the
-    lattice-path count agrees, for even d <= 10 and every layer index;
-    exact, < 30 s."""
+    """count_constrained_strings(d, i) == (-1)**(i-1) * C_i^(d), and the
+    lattice-path count and the number of generated strings agree, for
+    even d <= 10 and every layer index; exact, < 30 s."""
     start = time.perf_counter()
     mismatches = []
     checked = 0
@@ -231,15 +235,16 @@ def test_criterion_07_even_dimension_string_counts(capsys):
         for i in range(1, num_layers(d) + 1):
             strings = count_constrained_strings(d, i)
             paths = count_constrained_paths(d, i)
+            listed = len(list(enumerate_constrained_strings(d, i)))
             want = (-1) ** (i - 1) * layer_coefficient(d, i)
             checked += 1
-            if not (strings == paths == want):
-                mismatches.append(f"(d={d},i={i}): {strings}/{paths} vs {want}")
+            if not (strings == paths == listed == want):
+                mismatches.append(f"(d={d},i={i}): {strings}/{paths}/{listed} vs {want}")
     elapsed = time.perf_counter() - start
     in_budget = elapsed < 30
     passed = not mismatches and in_budget
     detail = (
-        f"{checked} (d,i) pairs: strings == paths == signed coefficient "
+        f"{checked} (d,i) pairs: strings == paths == listed == signed coefficient "
         f"in {elapsed:.2f} s"
         if passed
         else f"mismatches: {mismatches}; {elapsed:.2f} s"

@@ -216,6 +216,15 @@ class TestStrings:
         assert text.startswith("d,i,string_count,path_count\n4,2,9,9\n")
         assert calls == [(4, 2)]
 
+    def test_count_builds_no_string(self, monkeypatch):
+        def fail(dimension, index):
+            raise AssertionError("a string was built")
+
+        monkeypatch.setattr(evenstrings, "_constrained_strings", fail)
+        code, text = invoke(["strings", "--dim", "4", "--i", "2"])
+        assert code == EXIT_OK
+        assert text == "d,i,string_count,path_count\n4,2,9,9\n"
+
     def test_json(self):
         code, text = invoke(["strings", "--dim", "4", "--i", "3", "--format", "json"])
         assert code == EXIT_OK
@@ -246,11 +255,33 @@ class TestStrings:
     )
     def test_enumeration_guard_exits_3_quickly(self, d, i):
         start = time.perf_counter()
+        code, text, errors = invoke_with_errors(
+            ["strings", "--dim", str(d), "--i", str(i), "--list"]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+
+    @pytest.mark.parametrize("d,i", [(14, 4), (14, 9), (1000, 2), (200, 50)])
+    def test_count_answers_over_the_listing_guard(self, d, i):
+        # (14, 4) has 3,352,139 strings, (14, 9) 5,764,801, (1000, 2) 300 digits
+        count = (-1) ** (i - 1) * coefficients.layer_coefficient(d, i)
+        assert count > evenstrings.MAX_STRING_CANDIDATES
+        code, text = invoke(["strings", "--dim", str(d), "--i", str(i)])
+        assert code == EXIT_OK
+        assert text == f"d,i,string_count,path_count\n{d},{i},{count},{count}\n"
+
+    @pytest.mark.parametrize("d,i", [(1000, 502), (4_000_000, 1), (10**10, 2)])
+    def test_walk_guard_exits_3_quickly(self, d, i):
+        # 125,501,001 cells, 2,000,001, and (5 * 10**9 + 1)**2
+        start = time.perf_counter()
         code, text, errors = invoke_with_errors(["strings", "--dim", str(d), "--i", str(i)])
         assert time.perf_counter() - start < 1
         assert code == EXIT_INFEASIBLE
         assert text == ""
         assert_one_error_line(errors)
+        assert "cells" in errors
 
 
 class TestAction:

@@ -65,8 +65,10 @@ VERIFY = st.tuples(
     st.lists(ints(-3, 7).map(lambda d: ["--dim", d]), max_size=3),
     st.lists(ints(-1, 6).map(lambda i: ["--max-i", i]), max_size=1),
 ).map(lambda parts: ["verify"] + [token for chunk in parts[0] + parts[1] for token in chunk])
-# large dimensions: index 1 is one long string (over the guard at 10**10),
-# any other index is over the guard
+# large dimensions: a walk of more than 2,000,000 cells exits 3 at once with
+# or without --list (index 1 at 10**10, index 2 at 100000, index 9 at 1000);
+# inside it a count answers, as (1000, 2) and (200, 50) do, and a listing of
+# more than 2,000,000 strings exits 3
 STRINGS = command(
     "strings",
     ("--dim", st.one_of(ints(-2, 14), st.sampled_from(["200", "1000", "100000", "10000000000"]))),

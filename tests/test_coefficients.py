@@ -6,6 +6,8 @@ reduced by hand, and the scaled integer identity
 ``scaled = sum_k binom(i-1,k) * (-1)**k * scaled_gamma_ratio``.
 """
 
+import contextlib
+import io
 import math
 import sys
 from fractions import Fraction
@@ -28,6 +30,7 @@ from causetbox.coefficients import (
     scaled_gamma_ratio,
     sphere_surface_area,
 )
+from causetbox.cli import run
 from causetbox.sprinkling import ConstantField, DiamondConfig, estimate_box
 from gamma_oracle import alpha_over_beta_gamma_form, gamma_layer_coefficient
 
@@ -291,9 +294,19 @@ def refuse_products(dimension, k):
     raise AssertionError("a refused table computed a gamma ratio")
 
 
+def coeffs_cli(dimension):
+    """``causetbox coeffs --dim dimension``; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["coeffs", "--dim", str(dimension)])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestPrintGuard:
-    """A table whose integers ``str`` could not convert is refused up front.
-    No test here reads a clock: a refusal is shown to take no product."""
+    """A table of more digits than Python's default integer string limit,
+    4300, is refused up front, and ``coeffs`` also refuses one over a
+    lowered limit.  No test here reads a clock: a refusal is shown to take
+    no product."""
 
     def test_estimate_bounds_every_printed_integer(self):
         for d in range(2, 601):
@@ -306,18 +319,26 @@ class TestPrintGuard:
 
     @pytest.mark.parametrize("limit, admitted", [(640, 385), (1000, 571)])
     def test_each_side_of_the_cut_under_a_lowered_limit(self, limit, admitted, monkeypatch):
+        # the library ignores the lowered limit; only the CLI, which prints, reads it
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
         try:
             coefficient_table.cache_clear()
-            table = coefficient_table(admitted)
-            assert max(len(str(abs(v))) for v in table.scaled_entries) <= limit
+            assert coefficient_table(admitted + 1).dimension == admitted + 1
+            code, text, _ = coeffs_cli(admitted)
+            assert code == 0
+            assert max(len(str(abs(v))) for v in coefficient_table(admitted).scaled_entries) <= limit
+            assert text.count("\n") == admitted // 2 + 3
+            coefficient_table.cache_clear()
             monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
             digits = _table_digits(admitted + 1)
             assert digits > limit
-            with pytest.raises(FeasibilityError, match=f"about {digits} digits for "
-                               f"d={admitted + 1} \\(guard: <= {limit},"):
-                coefficient_table(admitted + 1)
+            code, text, errors = coeffs_cli(admitted + 1)
+            assert (code, text) == (3, "")
+            assert errors == (
+                f"error: coefficient table too large to print: about {digits} digits for "
+                f"d={admitted + 1} (guard: <= {limit}, the interpreter's integer string limit)\n"
+            )
         finally:
             sys.set_int_max_str_digits(old)
             coefficient_table.cache_clear()
@@ -340,9 +361,11 @@ class TestPrintGuard:
         self, monkeypatch
     ):
         monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert coeffs_cli(4)[0] == 0
         monkeypatch.setattr(coefficients, "scaled_gamma_ratio", refuse_products)
-        with pytest.raises(FeasibilityError, match="<= 4300,"):
-            coefficient_table(2118)
+        code, text, errors = coeffs_cli(2118)
+        assert (code, text) == (3, "")
+        assert "(guard: <= 4300, Python's default integer string limit)\n" in errors
 
     @pytest.mark.parametrize("exponent", [17, 200, 400])
     def test_huge_dimensions_are_refused_before_any_product(self, exponent, monkeypatch):

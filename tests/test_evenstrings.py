@@ -1,10 +1,11 @@
 """Even-dimension string and path counts.
 
 String counts were frozen by exhaustive enumeration and verified to
-equal the layer-coefficient magnitudes; the path counts come from an
-independent dynamic program.  The generator builds only valid strings;
-:func:`brute_force_strings` filters every placement of the ones and is
-the oracle it must equal, order included.  The diagram-to-string
+equal the layer-coefficient magnitudes; the closed-form count is checked
+against an independent dynamic program and against the generator.  The
+generator builds only valid strings; :func:`brute_force_strings` filters
+every placement of the ones and is the oracle it must equal, order
+included.  The diagram-to-string
 projection and its fibers are checked on ``diagram_oracle``'s copy.
 """
 
@@ -125,6 +126,11 @@ class TestConstrainedStrings:
         with pytest.raises(ValueError):
             count_constrained_strings(2, 4)
 
+    @pytest.mark.parametrize("d", range(2, 41, 2))
+    def test_closed_form_equals_the_path_count(self, d):
+        for i in range(1, d // 2 + 3):
+            assert count_constrained_strings(d, i) == count_constrained_paths(d, i), (d, i)
+
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_counts_equal_coefficients(self, d):
         for i in range(1, d // 2 + 3):
@@ -141,34 +147,50 @@ class TestGeneratorMatchesBruteForce:
             assert generated == list(brute_force_strings(d, i)), (d, i)
             assert count_constrained_strings(d, i) == len(generated)
 
+    @pytest.mark.parametrize("d", range(2, 15, 2))
+    def test_generator_yields_the_closed_form_count(self, d):
+        for i in range(1, d // 2 + 3):
+            count = count_constrained_strings(d, i)
+            if count <= MAX_STRING_CANDIDATES:
+                assert sum(1 for _ in enumerate_constrained_strings(d, i)) == count, (d, i)
+
     def test_guard_is_checked_before_generating(self):
-        # the guard reads the path count: (14, 4) has 3,352,139 strings
+        # the guard reads the closed-form count: (14, 4) has 3,352,139 strings
         with pytest.raises(FeasibilityError, match="3352139 strings"):
             enumerate_constrained_strings(14, 4)
 
     @pytest.mark.parametrize("d,i", [(1000, 2), (200, 50)])
     def test_guard_refuses_before_the_exact_count(self, d, i, monkeypatch):
-        # a cheap lower bound refuses large requests; the exact count only runs below it
+        # the closed form refuses the listing; the dynamic program is not run
         def fail(dimension, index):
             raise AssertionError("exact count taken")
 
         monkeypatch.setattr(evenstrings, "count_constrained_paths", fail)
-        with pytest.raises(FeasibilityError, match="more than 2000000 strings"):
+        count = count_constrained_strings(d, i)
+        assert count > MAX_STRING_CANDIDATES
+        with pytest.raises(FeasibilityError, match=f": {count} strings for d={d}, i={i} "):
             enumerate_constrained_strings(d, i)
 
     def test_guard_bounds_the_string_length(self):
-        # index 1 has one string of d/2 + 1 ones
+        # index 1 has one string of d/2 + 1 ones, and a walk of as many cells
         assert list(enumerate_constrained_strings(3_999_998, 1)) == ["1" * 2_000_000]
-        with pytest.raises(FeasibilityError, match="strings of 2000001 characters"):
+        with pytest.raises(FeasibilityError, match="2000001 cells for d=4000000, i=1 "):
             enumerate_constrained_strings(4_000_000, 1)
 
-    @pytest.mark.parametrize("d", range(2, 31, 2))
-    def test_lower_bound_never_exceeds_the_count(self, d):
-        for i in range(1, d // 2 + 3):
-            paths = count_constrained_paths(d, i)
-            for cap in (1, 10, 1000, MAX_STRING_CANDIDATES):
-                if evenstrings._count_floor_exceeds(d, i, cap):
-                    assert paths > cap, (d, i, cap)
+    @pytest.mark.parametrize(
+        "admitted, refused",
+        # 2,000,000 cells against 2,000,001; 1000 * 1999 against 1001 * 2001
+        [((3_999_998, 1), (4_000_000, 1)), ((1998, 3), (2000, 3))],
+    )
+    def test_each_side_of_the_cell_bound(self, admitted, refused, monkeypatch):
+        assert count_constrained_paths(*admitted) == count_constrained_strings(*admitted)
+        monkeypatch.setattr(evenstrings, "_string_count", None)
+        monkeypatch.setattr(evenstrings, "accumulate", None)
+        for entry in (
+            count_constrained_strings, count_constrained_paths, enumerate_constrained_strings
+        ):
+            with pytest.raises(FeasibilityError, match=f"cells for d={refused[0]}, "):
+                entry(*refused)
 
     @pytest.mark.parametrize("d", [4, 1000])
     def test_second_index_misses_one_placement(self, d):

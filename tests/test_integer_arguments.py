@@ -42,7 +42,7 @@ from causetbox.evenstrings import (
     count_constrained_strings,
     enumerate_constrained_strings,
 )
-from causetbox.genseries import closed_coeff_even, closed_coeff_odd, diagram_series
+from causetbox.genseries import diagram_series
 from causetbox.sprinkling import ConstantField, DiamondConfig, diamond_volume, estimate_box
 
 DIAMOND = from_relations(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -139,10 +139,6 @@ CASES = {
     ),
     "genseries.diagram_series:max_x": (lambda v: diagram_series(v, 8), "max_x", 3),
     "genseries.diagram_series:max_y": (lambda v: diagram_series(3, v), "max_y", 8),
-    "genseries.closed_coeff_even:n": (lambda v: closed_coeff_even(v, 4), "n", 2),
-    "genseries.closed_coeff_even:i": (lambda v: closed_coeff_even(2, v), "i", 4),
-    "genseries.closed_coeff_odd:n": (lambda v: closed_coeff_odd(v, 4), "n", 2),
-    "genseries.closed_coeff_odd:i": (lambda v: closed_coeff_odd(2, v), "i", 4),
     "genseries.BivariateSeries.coefficient:n": (lambda v: SERIES.coefficient(v, 6), "n", 2),
     "genseries.BivariateSeries.coefficient:m": (lambda v: SERIES.coefficient(2, v), "m", 6),
     "sprinkling.DiamondConfig:dimension": (

@@ -16,11 +16,13 @@ MODULES = sorted(
     f"causetbox.{info.name}" for info in pkgutil.iter_modules(causetbox.__path__)
 )
 
-# The diagram spec and the string projection live in tests/diagram_oracle.py;
-# a table field could not match the Poisson element count of a sprinkle.
+# The diagram spec and the string projection live in tests/diagram_oracle.py,
+# the series' closed forms in tests/test_genseries.py; a table field could not
+# match the Poisson element count of a sprinkle.
 GONE = {
     "causetbox.diagrams": ["is_valid_diagram", "inside_points", "_check_well_formed", "_crossing"],
     "causetbox.evenstrings": ["odd_point_string", "fiber_sizes"],
+    "causetbox.genseries": ["closed_coeff_even", "closed_coeff_odd"],
     "causetbox.sprinkling": ["TableField"],
 }
 
