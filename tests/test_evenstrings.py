@@ -5,8 +5,8 @@ equal the layer-coefficient magnitudes; the closed-form count is checked
 against an independent dynamic program and against the generator.  The
 generator builds only valid strings; :func:`brute_force_strings` filters
 every placement of the ones and is the oracle it must equal, order
-included.  The diagram-to-string
-projection and its fibers are checked on ``diagram_oracle``'s copy.
+included.  The diagram-to-string projection and its fibers are checked
+on ``diagram_oracle``'s copy.
 """
 
 import itertools

@@ -31,7 +31,8 @@ def closed_coeff_odd(n, i):
     """
     if i < n:
         raise ValueError(f"i must be >= n = {n}, got {i}")
-    product = math.prod(4 * (i - n) + 4 * level + 2 for level in range(1, n + 1))
+    j = i - n
+    product = math.prod(4 * j + 4 * level + 2 for level in range(1, n + 1))
     quotient, remainder = divmod(product, math.factorial(n))
     assert remainder == 0, (n, i)
     return quotient
