@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -42,6 +43,11 @@ EXIT_VERIFY_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+
+
+#: The most bytes of lines ``strings --list`` may print.  It holds them three
+#: times (list, text, output): d = 12, i = 8, at 14.0 MB, peaks near 110 MB.
+_MAX_LIST_BYTES = 16_000_000
 
 
 class _CliError(Exception):
@@ -71,10 +77,10 @@ def _render(answer: _Answer, output_format: str) -> str:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Answer:
-    # a lowered integer string limit refuses the table before any product;
+    # a limit below the library's own refuses the table before any product;
     # 0 is no limit, and interpreters before 3.10.7 have none to read
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
+    if 0 < limit < coefficients._MAX_TABLE_DIGITS:
         digits = coefficients._table_digits(coefficients._check_int(args.dim, "dimension", 2))
         if digits > limit:
             raise coefficients.FeasibilityError(
@@ -98,21 +104,17 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Answer:
     return _Answer(payload, ["d", "i", "num", "den", "scaled"], rows)
 
 
-def _format_element(diagram: diagrams.ChordDiagram) -> str:
-    parts = [str(diagram.points)]
-    for chord in diagram.chords:
-        desc = f"chord {chord.low}-{chord.high} {chord.color}"
-        if chord.first_end is not None:
-            desc += f" {chord.first_end}"
-        parts.append(desc)
-    return "; ".join(parts)
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> _Answer:
     elements = []
     if args.list:
-        listed = diagrams.enumerate_diagrams(args.chords, args.points)
-        elements = [_format_element(e) for e in listed]
+        keys = diagrams._diagram_keys(args.chords, args.points)
+        texts = {  # each distinct chord is formatted once
+            (low, high, color, first): f"chord {low}-{high} {color}"
+            + ("" if first is None else f" {first}")
+            for low, high, color, first in set(itertools.chain.from_iterable(keys))
+        }
+        head = str(args.points)
+        elements = ["; ".join((head, *map(texts.__getitem__, key))) for key in keys]
         count = len(elements)
     else:
         count = diagrams.count_diagrams(args.chords, args.points)
@@ -142,7 +144,14 @@ def _cmd_verify(args: argparse.Namespace) -> _Answer:
 def _cmd_strings(args: argparse.Namespace) -> _Answer:
     strings = []
     if args.list:
-        strings = list(evenstrings.enumerate_constrained_strings(args.dim, args.i))
+        generated = evenstrings.enumerate_constrained_strings(args.dim, args.i)  # checks only
+        size = evenstrings._string_count(args.dim, args.i) * (args.dim // 2 * args.i + 2)
+        if size > _MAX_LIST_BYTES:
+            raise coefficients.FeasibilityError(
+                f"string listing too large: {size} bytes of lines for d={args.dim}, "
+                f"i={args.i} (guard: <= {_MAX_LIST_BYTES})"
+            )
+        strings = list(generated)
         count = len(strings)
     else:
         count = evenstrings.count_constrained_strings(args.dim, args.i)

@@ -26,12 +26,13 @@ A valid diagram is a word of bare points and blocks: a low block is a
 red/blue chord with its first end at the low endpoint around a black
 noncrossing matching, and a word may sit inside one wrap block, whose
 first end is its high endpoint and whose black matching lies on the arc
-outside it.  :func:`enumerate_diagrams` generates these words directly,
-so its work is proportional to the diagrams it returns; it is guarded
-to small sizes because it returns them all.  The counts and the replay
-build none: the class and the replay depend only on the word's profile,
-and a transfer-matrix tally over the word (Stanley, *Enumerative
-Combinatorics* I, §4.7) counts the diagrams by profile class.
+outside it.  :func:`_diagram_keys` lists these words as chord tuples,
+with work proportional to the diagrams, guarded to small sizes; only
+:func:`enumerate_diagrams` builds ``Chord`` and ``ChordDiagram`` objects.
+The counts and the replay build none: the class and the replay depend
+only on the word's profile, and a transfer-matrix tally over the word
+(Stanley, *Enumerative Combinatorics* I, §4.7) counts the diagrams by
+profile class.
 ``tests/diagram_oracle.py`` keeps the conditions above as a check on
 any chord list, the brute-force enumeration, and the diagram-by-diagram
 filter and replay, that the generator and the tally must equal.
@@ -117,14 +118,6 @@ def _check_sizes(n_chords: int, n_points: int) -> tuple[int, int]:
     return n_chords, _check_int(n_points, "point count", 1)
 
 
-def _check_feasible(n_chords: int, n_points: int) -> None:
-    if n_chords > MAX_CHORDS or n_points > MAX_POINTS:
-        raise FeasibilityError(
-            f"enumeration too large: {n_chords} chords on {n_points} points "
-            f"(guard: <= {MAX_CHORDS} chords, <= {MAX_POINTS} points)"
-        )
-
-
 def _noncrossing_matchings(
     points: tuple[int, ...],
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -173,31 +166,39 @@ def _shapes(n_chords: int, n_points: int) -> Iterator[list[tuple]]:
                     yield [(low, high, high), *outside, *word]
 
 
-def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
-    """All valid diagrams with ``n_chords`` chords on ``n_points`` points.
-
-    Builds only valid diagrams, as block words (see :func:`_shapes`),
-    expands each over the red/blue colorings of its blocks, and sorts
-    the chord tuples ``(low, high, color, first_end)`` once.  Returns a
-    sorted list; its length equals the generating-function coefficient
-    at ``x**n_chords * y**n_points``.  ``n_points < 2 * n_chords`` yields
-    no diagrams and returns the empty list.  Sizes beyond the guard
-    (``MAX_CHORDS`` chords, ``MAX_POINTS`` points) raise
-    :class:`FeasibilityError` rather than running unbounded.
-    """
+def _diagram_keys(n_chords: int, n_points: int) -> list[tuple]:
+    """The chord tuples ``(low, high, color, first_end)`` of every valid
+    diagram, sorted within and across diagrams: the block words of
+    :func:`_shapes` expanded over the red/blue colorings of their blocks.
+    Sizes beyond the guard raise :class:`FeasibilityError`."""
     n_chords, n_points = _check_sizes(n_chords, n_points)
-    _check_feasible(n_chords, n_points)
+    if n_chords > MAX_CHORDS or n_points > MAX_POINTS:
+        raise FeasibilityError(
+            f"enumeration too large: {n_chords} chords on {n_points} points "
+            f"(guard: <= {MAX_CHORDS} chords, <= {MAX_POINTS} points)"
+        )
     keys = []
     for shape in _shapes(n_chords, n_points):
         shape.sort()  # by low endpoint, which no two chords share
-        blocks = sum(len(chord) == 3 for chord in shape)
-        for colors in itertools.product((RED, BLUE), repeat=blocks):
-            color = iter(colors)
-            keys.append(tuple(
-                (low, high, next(color), *first) if first else (low, high, BLACK, None)
-                for low, high, *first in shape
-            ))
+        keys += itertools.product(*(
+            ((low, high, RED, *first), (low, high, BLUE, *first)) if first
+            else ((low, high, BLACK, None),)
+            for low, high, *first in shape
+        ))
     keys.sort()
+    return keys
+
+
+def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
+    """All valid diagrams with ``n_chords`` chords on ``n_points`` points,
+    sorted, built from :func:`_diagram_keys` with one ``Chord`` per distinct
+    chord.  The length equals the generating-function coefficient at
+    ``x**n_chords * y**n_points``, and ``n_points < 2 * n_chords`` gives
+    ``[]``.  Sizes beyond the guard (``MAX_CHORDS`` chords, ``MAX_POINTS``
+    points) raise :class:`FeasibilityError` rather than running unbounded.
+    """
+    keys = _diagram_keys(n_chords, n_points)
+    n_points = _check_sizes(n_chords, n_points)[1]
     shared = {t: Chord(*t) for t in set(itertools.chain.from_iterable(keys))}
     return [ChordDiagram(n_points, tuple(map(shared.__getitem__, key))) for key in keys]
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from causetbox import cli, coefficients, evenstrings
+from causetbox import cli, coefficients, diagrams, evenstrings
 from causetbox.cli import (
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
@@ -16,6 +16,7 @@ from causetbox.cli import (
     EXIT_VERIFY_MISMATCH,
     run,
 )
+from diagram_oracle import enumerated
 
 
 def invoke(argv):
@@ -90,6 +91,33 @@ class TestCoeffs:
         assert_one_error_line(errors)
         assert f"digits for d={dim} (guard: <= 4300," in errors
 
+    @pytest.mark.parametrize("limit, estimates", [(0, 1), (1000, 2), (4300, 1), (5000, 1)])
+    def test_the_cli_estimates_only_under_a_lower_limit(self, limit, estimates, monkeypatch):
+        # the library always estimates; the CLI adds its own only below the library's cut
+        calls = []
+        digits = coefficients._table_digits
+
+        def counted(dimension):
+            calls.append(dimension)
+            return digits(dimension)
+
+        monkeypatch.setattr(coefficients, "_table_digits", counted)
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
+        coefficients.coefficient_table.cache_clear()
+        assert invoke(["coeffs", "--dim", "4"])[0] == EXIT_OK
+        assert calls == [4] * estimates
+
+
+def format_diagram(diagram):
+    """The listing's text of one ``ChordDiagram``, read off its attributes."""
+    parts = [str(diagram.points)]
+    for chord in diagram.chords:
+        desc = f"chord {chord.low}-{chord.high} {chord.color}"
+        if chord.first_end is not None:
+            desc += f" {chord.first_end}"
+        parts.append(desc)
+    return "; ".join(parts)
+
 
 class TestEnumerate:
     def test_single_chord_two_points(self):
@@ -103,6 +131,33 @@ class TestEnumerate:
             "2; chord 1-2 red 1\n"
             "2; chord 1-2 red 2\n"
         )
+
+    @pytest.mark.parametrize("chords", range(diagrams.MAX_CHORDS + 1))
+    def test_listing_equals_the_rendered_diagram_objects(self, chords):
+        for points in range(1, diagrams.MAX_POINTS + 1):
+            elements = [format_diagram(e) for e in enumerated(chords, points)]
+            argv = ["enumerate", "--chords", str(chords), "--points", str(points), "--list"]
+            code, text = invoke(argv)
+            assert code == EXIT_OK
+            head = f"chords,points,count\n{chords},{points},{len(elements)}\n"
+            assert text == head + "".join(line + "\n" for line in elements), (chords, points)
+            code, text = invoke([*argv, "--format", "json"])
+            assert code == EXIT_OK
+            payload = {"chords": chords, "points": points, "count": len(elements)}
+            assert json.loads(text) == {**payload, "elements": elements}, (chords, points)
+
+    def test_listing_builds_no_diagram_object(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a diagram object was built")
+
+        monkeypatch.setattr(diagrams, "ChordDiagram", fail)
+        monkeypatch.setattr(diagrams, "Chord", fail)
+        monkeypatch.setattr(diagrams, "enumerate_diagrams", fail)
+        code, text = invoke(["enumerate", "--chords", "4", "--points", "12", "--list"])
+        assert code == EXIT_OK
+        lines = text.splitlines()
+        assert lines[:2] == ["chords,points,count", "4,12,3840"]
+        assert len(lines) == 2 + 3840
 
     def test_count_only_json(self):
         code, text = invoke(
@@ -224,6 +279,58 @@ class TestStrings:
         code, text = invoke(["strings", "--dim", "4", "--i", "2"])
         assert code == EXIT_OK
         assert text == "d,i,string_count,path_count\n4,2,9,9\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_side_of_the_listing_byte_bound(self, fmt, monkeypatch):
+        # 9 strings of 5 characters and a newline: 54 bytes
+        argv = ["strings", "--dim", "4", "--i", "2", "--list", "--format", fmt]
+        monkeypatch.setattr(cli, "_MAX_LIST_BYTES", 54)
+        code, text = invoke(argv)
+        assert code == EXIT_OK
+        assert "01101" in text
+
+        def fail(dimension, index):
+            raise AssertionError("a string was built")
+            yield
+
+        monkeypatch.setattr(evenstrings, "_constrained_strings", fail)
+        monkeypatch.setattr(cli, "_MAX_LIST_BYTES", 53)
+        code, text, errors = invoke_with_errors(argv)
+        assert (code, text) == (EXIT_INFEASIBLE, "")
+        assert_one_error_line(errors)
+        assert errors == (
+            "error: string listing too large: 54 bytes of lines for d=4, i=2 (guard: <= 53)\n"
+        )
+
+    @pytest.mark.parametrize("d,i", [(12, 5), (12, 6), (12, 7), (16, 3), (22, 2)])
+    def test_listings_over_the_byte_bound_exit_3_before_any_string(self, d, i, monkeypatch):
+        # under the 2,000,000-string guard, but 32 to 55 MB of lines
+        def fail(dimension, index):
+            raise AssertionError("a string was built")
+            yield
+
+        monkeypatch.setattr(evenstrings, "_constrained_strings", fail)
+        code, text, errors = invoke_with_errors(
+            ["strings", "--dim", str(d), "--i", str(i), "--list"]
+        )
+        assert (code, text) == (EXIT_INFEASIBLE, "")
+        assert_one_error_line(errors)
+        assert f"bytes of lines for d={d}, i={i} (guard: <= {cli._MAX_LIST_BYTES})" in errors
+
+    def test_byte_bound_admits_the_largest_listing_under_it(self):
+        # every listing within the string guard, by its closed-form size in bytes;
+        # past d = 40 only index 1 is, one string of at most 2,000,001 characters
+        sizes = {
+            (d, i): evenstrings._string_count(d, i) * (d // 2 * i + 2)
+            for d in range(2, 41, 2)
+            for i in range(1, d // 2 + 3)
+            if (d // 2 + 1) * (d * (i - 1) // 2 + 1) <= evenstrings.MAX_STRING_CANDIDATES
+            and evenstrings._string_count(d, i) <= evenstrings.MAX_STRING_CANDIDATES
+        }
+        admitted = max(size for size in sizes.values() if size <= cli._MAX_LIST_BYTES)
+        refused = sorted(key for key, size in sizes.items() if size > cli._MAX_LIST_BYTES)
+        assert admitted == sizes[(12, 8)] == 13_996_800
+        assert refused == [(12, 5), (12, 6), (12, 7), (16, 3), (22, 2)]
 
     def test_json(self):
         code, text = invoke(["strings", "--dim", "4", "--i", "3", "--format", "json"])

@@ -68,7 +68,7 @@ VERIFY = st.tuples(
 # large dimensions: a walk of more than 2,000,000 cells exits 3 at once with
 # or without --list (index 1 at 10**10, index 2 at 100000, index 9 at 1000);
 # inside it a count answers, as (1000, 2) and (200, 50) do, and a listing of
-# more than 2,000,000 strings exits 3
+# more than 2,000,000 strings or 16,000,000 bytes of lines exits 3
 STRINGS = command(
     "strings",
     ("--dim", st.one_of(ints(-2, 14), st.sampled_from(["200", "1000", "100000", "10000000000"]))),

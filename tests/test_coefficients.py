@@ -116,6 +116,17 @@ class TestScaledGammaRatio:
         assert scaled_gamma_ratio(3, 0) == 16
         assert scaled_gamma_ratio(3, 1) == 70
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 40, 41, 300, 301])
+    def test_equals_the_descending_product_and_the_binomial_quotient(self, d):
+        n = d // 2 + 1
+        for k in range(num_layers(d)):
+            dk = d * k
+            product = math.prod(range(2 * dk + 4, 2 * dk + 4 * n + 1, 4))
+            assert scaled_gamma_ratio(d, k) * math.factorial(n) == product, (d, k)
+            if dk % 2:
+                quotient = math.comb(dk + 2 * n, 2 * n) * math.comb(2 * n, n)
+                assert scaled_gamma_ratio(d, k) * math.comb((dk - 1) // 2 + n, n) == quotient
+
     @given(
         st.integers(min_value=2, max_value=12),
         st.integers(min_value=0, max_value=6),
@@ -273,21 +284,15 @@ class TestMemo:
         coefficient_table.cache_clear()  # drop the table built under the patch
 
 
-def scaled_entries_by_differences(d):
-    """The scaled entries of dimension ``d`` without the table's binomial sums:
-    entry ``i`` is ``(-1)**(i-1)`` times the ``(i-1)``-th forward difference of
-    the gamma ratios ``(2dk + 4)(2dk + 8) ... (2dk + 4h + 4) / (h + 1)!`` at
-    ``k = 0``, and one difference table holds them all."""
-    h = d // 2
-    row = [
-        math.prod(range(2 * d * k + 4, 2 * d * k + 4 * h + 5, 4)) // math.factorial(h + 1)
-        for k in range(h + 2)
-    ]
-    entries = []
-    while row:
-        entries.append((-1) ** len(entries) * row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return tuple(entries)
+def scaled_entries_by_binomial_sums(d):
+    """The scaled entries of dimension ``d`` by their definition, without the
+    table's differences: entry ``i`` is the alternating binomial sum
+    ``sum_k binom(i-1, k) * (-1)**k * scaled_gamma_ratio(d, k)``."""
+    ratios = [scaled_gamma_ratio(d, k) for k in range(num_layers(d))]
+    return tuple(
+        sum(math.comb(i - 1, k) * (-1) ** k * ratios[k] for k in range(i))
+        for i in range(1, num_layers(d) + 1)
+    )
 
 
 def refuse_products(dimension, k):
@@ -310,9 +315,9 @@ class TestPrintGuard:
 
     def test_estimate_bounds_every_printed_integer(self):
         for d in range(2, 601):
-            scaled = scaled_entries_by_differences(d)
+            scaled = coefficient_table(d).scaled_entries
             if d <= 100:
-                assert scaled == coefficient_table(d).scaled_entries
+                assert scaled == scaled_entries_by_binomial_sums(d)
             # a numerator divides its scaled entry, a denominator the scale
             scale = 2 ** (2 * (d // 2) + 2)
             assert _table_digits(d) >= len(str(max(scale, *map(abs, scaled)))), d

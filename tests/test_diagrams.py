@@ -34,6 +34,7 @@ from causetbox.diagrams import (
     Chord,
     ChordDiagram,
     _block_factor,
+    _diagram_keys,
     _tally,
     _tally_size,
     count_diagrams,
@@ -169,6 +170,23 @@ class TestGeneratorMatchesBruteForce:
     def test_equals_brute_force_in_order(self, n):
         for m in range(1, 13):
             assert enumerate_diagrams(n, m) == oracle.brute_force_diagrams(n, m), (n, m)
+
+    @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
+    def test_keys_equal_the_brute_force_chord_tuples(self, n):
+        for m in range(1, 11):
+            want = sorted(
+                tuple((c.low, c.high, c.color, c.first_end) for c in element.chords)
+                for element in oracle.brute_force_diagrams(n, m)
+            )
+            assert _diagram_keys(n, m) == want, (n, m)
+
+    def test_keys_are_guarded_as_the_objects_are(self):
+        with pytest.raises(FeasibilityError):
+            _diagram_keys(MAX_CHORDS + 1, 10)
+        with pytest.raises(FeasibilityError):
+            _diagram_keys(1, MAX_POINTS + 1)
+        with pytest.raises(ValueError):
+            _diagram_keys(0, 0)
 
     @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
     def test_every_generated_diagram_is_valid(self, n):
