@@ -130,8 +130,7 @@ class CoefficientTable:
                 )
 
 
-#: The most digits a table may have: Python's default integer string limit.
-_MAX_TABLE_DIGITS = 4300
+_MAX_TABLE_DIGITS = 4300  # Python's default integer string limit
 
 
 # typed: 4.0 == 4, so an untyped cache would answer coefficient_table(4.0)
@@ -141,11 +140,10 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     """Exact and scaled layer coefficients ``C_1 .. C_(floor(d/2)+2)``.
 
     The only place a coefficient is computed: the scaled entry ``i`` is
-    ``sum_k binom(i-1, k) * (-1)**k * scaled_gamma_ratio(d, k)`` over
-    ``k = 0 .. i-1``, read off a forward-difference table of the ratios
-    as ``(-1)**(i-1)`` times its ``(i-1)``-th difference at ``k = 0``, and
-    the exact entry is that integer over ``2**(2*floor(d/2) + 2)``.  A
-    table with more digits than Python's default integer string limit,
+    ``(-1)**(i-1)`` times the ``(i-1)``-th forward difference of
+    ``scaled_gamma_ratio(d, k)`` at ``k = 0``, all read off one difference
+    table, and the exact entry is that integer over ``2**(2*floor(d/2) + 2)``.
+    A table with more digits than Python's default integer string limit,
     4300, raises :class:`FeasibilityError` before any product, whatever
     limit is set.
     """
@@ -183,11 +181,10 @@ def scaled_gamma_ratio(dimension: int, k: int) -> int:
     """The gamma-ratio part of the ``k``-th term after integer scaling.
 
     The descending product ``(2dk + 4h + 4)(2dk + 4h) ... (2dk + 4) / n!``
-    with ``h = floor(d/2)`` and ``n = h + 1``, a positive integer.  When
-    ``dk`` is even it is ``4**n * binom(dk/2 + n, n)``; when ``dk`` is odd
-    it is ``2**n * (dk + 2)(dk + 4) ... (dk + 2n) / n!``, which is
-    ``binom(dk + 2n, 2n) * binom(2n, n) / binom((dk-1)/2 + n, n)`` but
-    takes half the time from ``d = 300`` on.
+    with ``h = floor(d/2)``, ``n = h + 1``, a positive integer: for even
+    ``dk`` it is ``4**n * binom(dk/2 + n, n)``, for odd ``dk`` the product
+    ``2**n * (dk + 2)(dk + 4) ... (dk + 2n) / n!``, which takes half the
+    time of a quotient of binomials from ``d = 300`` on.
     """
     dimension = _check_int(dimension, "dimension", 2)
     k = _check_int(k, "k", 0)
