@@ -135,15 +135,6 @@ class ActionReport:
         if any(a < 0 or a > pair_bound for a in self.abundances):
             raise ValueError("interval abundances out of range")
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "length_scale": self.length_scale,
-            "size": self.size,
-            "abundances": list(self.abundances),
-            "action": self.action,
-        }
-
 
 def _check_pass_budget(n_elements: int) -> None:
     """Refuse an interval pass whose arrays would not fit ``MAX_ARRAY_BYTES``.
@@ -205,7 +196,7 @@ def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_elements(causal_set: CausalSet, *elements: int) -> None:
     top = causal_set.size - 1
     for x in elements:
-        _check_int(x, f"element index {x!r} (range 0..{top})", 0, top)
+        _check_int(x, "element index", 0, top)
 
 
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:

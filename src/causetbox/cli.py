@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -170,7 +171,7 @@ def _cmd_strings(args: argparse.Namespace) -> _Answer:
 
 def _cmd_action(args: argparse.Namespace) -> _Answer:
     causal_set = load_causal_set(args.input)
-    return _Answer(gravitational_action(causal_set, args.dim, args.ell).to_dict())
+    return _Answer(dataclasses.asdict(gravitational_action(causal_set, args.dim, args.ell)))
 
 
 def _cmd_sprinkle(args: argparse.Namespace) -> _Answer:

@@ -108,26 +108,26 @@ def scaled_coefficient(dimension: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """All layer coefficients of one dimension, exact and integer-scaled."""
+    """All layer coefficients of one dimension, scaled by ``2**(2*floor(d/2) + 2)``."""
 
     dimension: int
-    entries: tuple[Fraction, ...]
     scaled_entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        scale = 2 ** (2 * num_layers(self.dimension) - 2)  # 2**(2*floor(d/2) + 2), in ints
-        if len(self.entries) != num_layers(self.dimension):
+        if len(self.scaled_entries) != num_layers(self.dimension):
             raise ValueError("coefficient table has the wrong number of entries")
-        for position, (exact, scaled) in enumerate(
-            zip(self.entries, self.scaled_entries), start=1
-        ):
-            if exact * scale != scaled:
-                raise ValueError("scaled entries disagree with exact entries")
-            if exact == 0 or (exact > 0) != (position % 2 == 1):
+        for position, scaled in enumerate(self.scaled_entries, start=1):
+            if scaled == 0 or (scaled > 0) != (position % 2 == 1):
                 raise ValueError(
                     f"coefficient signs must alternate starting positive; "
-                    f"entry {position} is {exact}"
+                    f"scaled entry {position} is {scaled}"
                 )
+
+    @functools.cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The exact coefficients, each scaled entry over the scale, built on first read."""
+        scale = 2 ** (2 * num_layers(self.dimension) - 2)  # 2**(2*floor(d/2) + 2), in ints
+        return tuple(Fraction(scaled, scale) for scaled in self.scaled_entries)
 
 
 _MAX_TABLE_DIGITS = 4300  # Python's default integer string limit
@@ -142,9 +142,9 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     The only place a coefficient is computed: the scaled entry ``i`` is
     ``(-1)**(i-1)`` times the ``(i-1)``-th forward difference of
     ``scaled_gamma_ratio(d, k)`` at ``k = 0``, all read off one difference
-    table, and the exact entry is that integer over ``2**(2*floor(d/2) + 2)``.
-    A table with more digits than Python's default integer string limit,
-    4300, raises :class:`FeasibilityError` before any product, whatever
+    table; the exact entry is that integer over ``2**(2*floor(d/2) + 2)``, on
+    first read.  A table with more digits than Python's default integer string
+    limit, 4300, raises :class:`FeasibilityError` before any product, whatever
     limit is set.
     """
     dimension = _check_int(dimension, "dimension", 2)
@@ -159,9 +159,7 @@ def coefficient_table(dimension: int) -> CoefficientTable:
     while row:  # the next row holds the differences of this one
         scaled.append(-row[0] if len(scaled) % 2 else row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    scale = 2 ** (2 * (dimension // 2) + 2)
-    entries = tuple(Fraction(value, scale) for value in scaled)
-    return CoefficientTable(dimension=dimension, entries=entries, scaled_entries=tuple(scaled))
+    return CoefficientTable(dimension=dimension, scaled_entries=tuple(scaled))
 
 
 def _table_digits(dimension: int) -> int:

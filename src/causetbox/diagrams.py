@@ -53,7 +53,7 @@ from .coefficients import (
     num_layers,
     scaled_coefficient,
 )
-from .genseries import diagram_series
+from .genseries import MAX_SERIES_CELLS, diagram_series
 
 __all__ = [
     "BLACK",
@@ -81,9 +81,6 @@ BLUE = "blue"
 #: Feasibility guard for building diagrams one by one.
 MAX_CHORDS = 4
 MAX_POINTS = 16
-#: Feasibility guard for counting from the generating series: the cells
-#: (chords + 1)(points + 1) of its truncation window.
-MAX_SERIES_CELLS = 250_000
 #: Feasibility guard for the restricted-class tally, on the product
 #: (points + 1)(chords + 1)(place + 1)(gap * place + 1) that bounds its
 #: states; see :func:`_tally_size`.
@@ -209,12 +206,6 @@ def count_diagrams(n_chords: int, n_points: int) -> int:
     Windows of more than ``MAX_SERIES_CELLS`` cells raise
     :class:`FeasibilityError`."""
     n_chords, n_points = _check_sizes(n_chords, n_points)
-    cells = (n_chords + 1) * (n_points + 1)
-    if cells > MAX_SERIES_CELLS:
-        raise FeasibilityError(
-            f"series window too large: {n_chords} chords on {n_points} points "
-            f"need {cells} cells (guard: <= {MAX_SERIES_CELLS})"
-        )
     return diagram_series(n_chords, n_points).coefficient(n_chords, n_points)
 
 

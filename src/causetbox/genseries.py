@@ -20,12 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import _check_int
+from .coefficients import FeasibilityError, _check_int
 
 __all__ = [
     "BivariateSeries",
     "diagram_series",
+    "MAX_SERIES_CELLS",
 ]
+
+#: Feasibility guard on the cells ``(max_x + 1)(max_y + 1)`` of a series window.
+MAX_SERIES_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,17 @@ def diagram_series(max_x: int, max_y: int) -> BivariateSeries:
 
     filled in increasing ``n`` and ``m``.  The numerator's inverse
     square root contributes ``binom(2n, n)`` at ``x**n * y**(2n+1)``.
+    Windows of more than ``MAX_SERIES_CELLS`` cells raise
+    :class:`~causetbox.coefficients.FeasibilityError` before any is built.
     """
     max_x = _check_int(max_x, "max_x", 0)
     max_y = _check_int(max_y, "max_y", 0)
+    cells = (max_x + 1) * (max_y + 1)
+    if cells > MAX_SERIES_CELLS:
+        raise FeasibilityError(
+            f"series window too large: x**{max_x} * y**{max_y} needs {cells} cells "
+            f"(guard: <= {MAX_SERIES_CELLS})"
+        )
     table: list[list[int]] = []
     below = [0] * (max_y + 1)  # row n-1 of F; zero for n = 0
     for n in range(max_x + 1):

@@ -169,7 +169,10 @@ def _sprinkle_with_rng(config: DiamondConfig, rng: np.random.Generator) -> Sprin
 
 
 def sprinkle(config: DiamondConfig) -> SprinkleResult:
-    """One sprinkle, a pure function of the config."""
+    """One sprinkle, a pure function of the config.  A config whose arrays
+    would exceed ``MAX_ARRAY_BYTES`` raises
+    :class:`~causetbox.coefficients.FeasibilityError` before sampling."""
+    _check_budget(config, 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
     return _sprinkle_with_rng(config, rng)
 

@@ -468,12 +468,22 @@ class TestElementIndices:
     }
 
     @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("x", [-1, 3, 5, True, 1.0, "1", None])
-    def test_bad_index_is_a_value_error_naming_index_and_range(self, call, x):
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (-1, "element index must be in 0..2, got -1"),
+            (3, "element index must be in 0..2, got 3"),
+            (5, "element index must be in 0..2, got 5"),
+            (True, "element index must be an integer, not bool"),
+            (1.0, "element index must be an integer, not float"),
+            ("1", "element index must be an integer, not str"),
+            (None, "element index must be an integer, not NoneType"),
+        ],
+    )
+    def test_bad_index_is_a_value_error_naming_the_range_once(self, call, x, message):
         with pytest.raises(ValueError) as raised:
             self.CALLS[call](chain(3), x)
-        assert f"element index {x!r}" in str(raised.value)
-        assert "0..2" in str(raised.value)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("call", CALLS)
     def test_numpy_integer_indices_accepted(self, call):

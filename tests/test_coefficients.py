@@ -7,6 +7,7 @@ reduced by hand, and the scaled integer identity
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import sys
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st
 
 from causetbox import coefficients
 from causetbox.coefficients import (
+    CoefficientTable,
     FeasibilityError,
     _table_digits,
     alpha_over_beta,
@@ -31,6 +33,7 @@ from causetbox.coefficients import (
     sphere_surface_area,
 )
 from causetbox.cli import run
+from causetbox.diagrams import verify_layer
 from causetbox.sprinkling import ConstantField, DiamondConfig, estimate_box
 from gamma_oracle import alpha_over_beta_gamma_form, gamma_layer_coefficient
 
@@ -143,20 +146,38 @@ class TestCoefficientTable:
         assert table.scaled_entries == (64, -576, 1024, -512)
 
     def test_rejects_corrupt_table(self):
-        from causetbox.coefficients import CoefficientTable
-
-        with pytest.raises(ValueError):
-            CoefficientTable(
-                dimension=2,
-                entries=(Fraction(1), Fraction(2), Fraction(1)),
-                scaled_entries=(16, 32, 16),
-            )
+        with pytest.raises(ValueError, match="wrong number of entries"):
+            CoefficientTable(dimension=2, scaled_entries=(16, -32))
+        with pytest.raises(ValueError, match="scaled entry 2 is 32"):
+            CoefficientTable(dimension=2, scaled_entries=(16, 32, 16))
+        with pytest.raises(ValueError, match="scaled entry 1 is 0"):
+            CoefficientTable(dimension=2, scaled_entries=(0, -32, 16))
 
     def test_numpy_dimension_scales_without_wrapping(self):
-        from causetbox.coefficients import CoefficientTable
-
         table = coefficient_table(70)  # a scale of 2**72 would wrap in int64
-        CoefficientTable(np.int64(70), table.entries, table.scaled_entries)
+        assert CoefficientTable(np.int64(70), table.scaled_entries).entries == table.entries
+
+    def test_stores_only_the_scaled_integers(self):
+        assert [f.name for f in dataclasses.fields(CoefficientTable)] == [
+            "dimension",
+            "scaled_entries",
+        ]
+
+    def test_exact_entries_are_built_once(self):
+        table = coefficient_table(6)
+        assert table.entries is table.entries
+
+    def test_scaled_readers_build_no_fraction_of_integers(self, monkeypatch):
+        # the digit estimate converts floats exactly; an entry would be ints
+        def floats_only(*args):
+            if not all(type(arg) is float for arg in args):
+                raise AssertionError("built an exact entry for a reader of scaled entries")
+            return Fraction(*args)
+
+        monkeypatch.setattr(coefficients, "Fraction", floats_only)
+        coefficient_table.cache_clear()  # so the tables are built under the patch
+        assert coefficient_table(40).scaled_entries == scaled_entries_by_binomial_sums(40)
+        assert verify_layer(4, 2) == (True, True)
 
 
 class TestMatchesGammaOracle:

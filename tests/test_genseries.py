@@ -11,8 +11,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from causetbox.coefficients import scaled_gamma_ratio
-from causetbox.genseries import diagram_series
+from causetbox import genseries
+from causetbox.coefficients import FeasibilityError, scaled_gamma_ratio
+from causetbox.genseries import MAX_SERIES_CELLS, diagram_series
 
 WINDOW = diagram_series(4, 13)
 
@@ -123,6 +124,22 @@ class TestDiagramSeries:
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):
             diagram_series(-1, 3)
+
+    def test_window_over_the_guard_is_refused_before_any_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a row of a refused window")
+
+        monkeypatch.setattr(genseries.math, "comb", refuse)  # the first row's only product
+        with pytest.raises(FeasibilityError, match=f"{MAX_SERIES_CELLS + 1} cells"):
+            diagram_series(MAX_SERIES_CELLS, 0)
+        with pytest.raises(FeasibilityError, match=f"guard: <= {MAX_SERIES_CELLS}"):
+            diagram_series(MAX_SERIES_CELLS, 1)
+        with pytest.raises(FeasibilityError):
+            diagram_series(10**5, 10**5)
+
+    def test_window_at_the_guard_is_built(self):
+        series = diagram_series(MAX_SERIES_CELLS - 1, 0)  # exactly the guard's cells
+        assert series.coefficient(MAX_SERIES_CELLS - 1, 0) == 0
 
 
 class TestClosedForms:

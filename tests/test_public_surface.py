@@ -43,6 +43,7 @@ def test_moved_and_deleted_names_are_gone(module_name, name):
 def test_moved_and_deleted_methods_are_gone():
     assert not hasattr(ChordDiagram, "bare_points")
     assert not hasattr(ActionReport, "from_dict")
+    assert not hasattr(ActionReport, "to_dict")  # the CLI renders dataclasses.asdict
 
 
 def test_feasibility_error_is_exported_once_from_coefficients():

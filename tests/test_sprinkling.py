@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causetbox.causet import MAX_ARRAY_BYTES, CausalSet, from_relations
+from causetbox import sprinkling
 from causetbox.coefficients import FeasibilityError
 from causetbox.sprinkling import (
     ConstantField,
@@ -256,6 +257,14 @@ class TestEstimateBox:
         config = DiamondConfig(dimension=2, density=density, half_height=1.0, seed=1)
         with pytest.raises(FeasibilityError, match="elements per trial"):
             estimate_box(config, ConstantField(1.0), trials)
+
+    def test_a_single_sprinkle_is_held_to_the_budget_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled points for an over-budget sprinkle")
+
+        monkeypatch.setattr(sprinkling, "_sample_diamond", refuse)
+        with pytest.raises(FeasibilityError, match="elements per trial and 1 trials"):
+            sprinkle(DiamondConfig(2, 1e9, 1.0, 0))
 
     def test_budget_bound(self):
         # 8 (d + 1) bytes per ordered pair of the expected N plus the tip,
