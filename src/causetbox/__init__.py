@@ -29,8 +29,6 @@ from .coefficients import (
     scaled_gamma_ratio,
 )
 from .diagrams import (
-    ChordDiagram,
-    Chord,
     count_restricted,
     enumerate_diagrams,
     verify_cancellation,
@@ -58,8 +56,6 @@ __all__ = [
     "operator_constants",
     "scaled_coefficient",
     "scaled_gamma_ratio",
-    "ChordDiagram",
-    "Chord",
     "FeasibilityError",
     "count_restricted",
     "enumerate_diagrams",

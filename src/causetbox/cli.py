@@ -108,7 +108,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Answer:
 def _cmd_enumerate(args: argparse.Namespace) -> _Answer:
     elements = []
     if args.list:
-        keys = diagrams._diagram_keys(args.chords, args.points)
+        keys = diagrams.enumerate_diagrams(args.chords, args.points)
         texts = {  # each distinct chord is formatted once
             (low, high, color, first): f"chord {low}-{high} {color}"
             + ("" if first is None else f" {first}")

@@ -26,16 +26,17 @@ A valid diagram is a word of bare points and blocks: a low block is a
 red/blue chord with its first end at the low endpoint around a black
 noncrossing matching, and a word may sit inside one wrap block, whose
 first end is its high endpoint and whose black matching lies on the arc
-outside it.  :func:`_diagram_keys` lists these words as chord tuples,
-with work proportional to the diagrams, guarded to small sizes; only
-:func:`enumerate_diagrams` builds ``Chord`` and ``ChordDiagram`` objects.
-The counts and the replay build none: the class and the replay depend
-only on the word's profile, and a transfer-matrix tally over the word
-(Stanley, *Enumerative Combinatorics* I, §4.7) counts the diagrams by
-profile class.
-``tests/diagram_oracle.py`` keeps the conditions above as a check on
-any chord list, the brute-force enumeration, and the diagram-by-diagram
-filter and replay, that the generator and the tally must equal.
+outside it.  A diagram here is the sorted tuple of its chords, each a
+``(low, high, color, first_end)`` tuple; :func:`enumerate_diagrams`
+lists these tuples, with work proportional to the diagrams, guarded to
+small sizes.  The counts and the replay build no diagram: the class and
+the replay depend only on the word's profile, and a transfer-matrix
+tally over the word (Stanley, *Enumerative Combinatorics* I, §4.7)
+counts the diagrams by profile class.
+``tests/diagram_oracle.py`` keeps the diagram objects, the conditions
+above as a check on any chord list, the brute-force enumeration, and the
+diagram-by-diagram filter and replay, that the generator and the tally
+must equal.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator
 
 from .coefficients import (
@@ -59,8 +59,6 @@ __all__ = [
     "BLACK",
     "RED",
     "BLUE",
-    "Chord",
-    "ChordDiagram",
     "enumerate_diagrams",
     "count_diagrams",
     "count_restricted",
@@ -85,29 +83,6 @@ MAX_POINTS = 16
 #: (points + 1)(chords + 1)(place + 1)(gap * place + 1) that bounds its
 #: states; see :func:`_tally_size`.
 MAX_TALLY_SIZE = 1_000_000
-
-
-@dataclass(frozen=True, order=True)
-class Chord:
-    """One chord: endpoints ``low < high``, a color, and for red/blue
-    chords the designated first end (``None`` exactly for black)."""
-
-    low: int
-    high: int
-    color: str
-    first_end: int | None = None
-
-
-@dataclass(frozen=True, order=True)
-class ChordDiagram:
-    """A colored partial chord diagram on points ``1..points``.
-
-    ``chords`` is kept sorted by endpoints so equal diagrams compare
-    and hash equal.
-    """
-
-    points: int
-    chords: tuple[Chord, ...]
 
 
 def _check_sizes(n_chords: int, n_points: int) -> tuple[int, int]:
@@ -163,11 +138,17 @@ def _shapes(n_chords: int, n_points: int) -> Iterator[list[tuple]]:
                     yield [(low, high, high), *outside, *word]
 
 
-def _diagram_keys(n_chords: int, n_points: int) -> list[tuple]:
-    """The chord tuples ``(low, high, color, first_end)`` of every valid
-    diagram, sorted within and across diagrams: the block words of
-    :func:`_shapes` expanded over the red/blue colorings of their blocks.
-    Sizes beyond the guard raise :class:`FeasibilityError`."""
+def enumerate_diagrams(n_chords: int, n_points: int) -> list[tuple]:
+    """All valid diagrams with ``n_chords`` chords on ``n_points`` points,
+    each the sorted tuple of its ``(low, high, color, first_end)`` chords
+    (``first_end`` is ``None`` exactly for black), in sorted order: the
+    block words of :func:`_shapes` expanded over the red/blue colorings of
+    their blocks.  The length equals the generating-function coefficient
+    at ``x**n_chords * y**n_points``, and ``n_points < 2 * n_chords``
+    gives ``[]``.  Sizes beyond the guard (``MAX_CHORDS`` chords,
+    ``MAX_POINTS`` points) raise :class:`FeasibilityError` rather than
+    running unbounded.
+    """
     n_chords, n_points = _check_sizes(n_chords, n_points)
     if n_chords > MAX_CHORDS or n_points > MAX_POINTS:
         raise FeasibilityError(
@@ -184,20 +165,6 @@ def _diagram_keys(n_chords: int, n_points: int) -> list[tuple]:
         ))
     keys.sort()
     return keys
-
-
-def enumerate_diagrams(n_chords: int, n_points: int) -> list[ChordDiagram]:
-    """All valid diagrams with ``n_chords`` chords on ``n_points`` points,
-    sorted, built from :func:`_diagram_keys` with one ``Chord`` per distinct
-    chord.  The length equals the generating-function coefficient at
-    ``x**n_chords * y**n_points``, and ``n_points < 2 * n_chords`` gives
-    ``[]``.  Sizes beyond the guard (``MAX_CHORDS`` chords, ``MAX_POINTS``
-    points) raise :class:`FeasibilityError` rather than running unbounded.
-    """
-    keys = _diagram_keys(n_chords, n_points)
-    n_points = _check_sizes(n_chords, n_points)[1]
-    shared = {t: Chord(*t) for t in set(itertools.chain.from_iterable(keys))}
-    return [ChordDiagram(n_points, tuple(map(shared.__getitem__, key))) for key in keys]
 
 
 def count_diagrams(n_chords: int, n_points: int) -> int:

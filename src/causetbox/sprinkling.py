@@ -33,7 +33,6 @@ __all__ = [
     "MonomialField",
     "diamond_volume",
     "causal_matrix",
-    "boost_coords",
     "sprinkle",
     "field_values",
     "parse_field_spec",
@@ -124,16 +123,6 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
     return (dt >= dx) & (dt > 0)
 
 
-def boost_coords(coords: np.ndarray, rapidity: float) -> np.ndarray:
-    """Lorentz boost of 2-dimensional coordinates by the given rapidity."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise ValueError("boost_coords expects (t, x) coordinate rows")
-    cosh, sinh = math.cosh(rapidity), math.sinh(rapidity)
-    t, x = coords[:, 0], coords[:, 1]
-    return np.column_stack((cosh * t - sinh * x, -sinh * t + cosh * x))
-
-
 def _sample_diamond(
     rng: np.random.Generator, dimension: int, half_height: float, count: int
 ) -> np.ndarray:
@@ -202,14 +191,14 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse CLI field syntax: ``const:VALUE`` or ``mono:E0,E1,...``
-    (coordinate exponents, time first)."""
+    (coordinate exponents, time first; ``mono:`` is the constant 1)."""
     kind, _, payload = text.partition(":")
     try:
         if kind == "const":
             return ConstantField(value=float(payload))
         if kind == "mono":
             return MonomialField(
-                exponents=tuple(int(e) for e in payload.split(",") if e != "")
+                exponents=tuple(int(e) for e in payload.split(",")) if payload else ()
             )
     except ValueError as exc:
         raise ValueError(f"malformed field spec {text!r}: {exc}") from exc

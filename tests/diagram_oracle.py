@@ -1,12 +1,16 @@
-"""The diagram spec, brute-force enumeration, restricted class, cancellation
-replay and string projection, kept as test oracles.
+"""Diagram objects, the diagram spec, brute-force enumeration, restricted
+class, cancellation replay and string projection, kept as test oracles.
 
-``causetbox.diagrams`` generates the valid diagrams as block words, and
-answers ``count_restricted`` and ``verify_cancellation`` from a tally
-over those words without building a diagram.  The functions here answer
-the same questions the slow way.  :func:`is_valid_diagram` is the spec
-itself: it checks the class conditions listed in ``causetbox.diagrams``
-on any chord list, and refuses a malformed one.
+``causetbox.diagrams`` generates the valid diagrams as block words,
+lists each as its sorted tuple of ``(low, high, color, first_end)``
+chords, and answers ``count_restricted`` and ``verify_cancellation``
+from a tally over those words without building a diagram.  Only the
+tests build objects: :class:`Chord` and :class:`ChordDiagram` are
+defined here, and :func:`diagram_objects` wraps the library's tuples in
+them.  The functions here answer the same questions the slow way.
+:func:`is_valid_diagram` is the spec itself: it checks the class
+conditions listed in ``causetbox.diagrams`` on any chord list, and
+refuses a malformed one.
 :func:`brute_force_diagrams` walks every support, noncrossing matching
 and colour state and keeps the valid ones.  The restricted-class oracles
 read each diagram's first-end profile and bare runs off its chords,
@@ -15,7 +19,7 @@ in a ``Counter``.  :func:`fiber_sizes` groups enumerated diagrams by
 :func:`odd_point_string`, the projection behind the counts in
 ``causetbox.evenstrings``.  The engines must equal them wherever they
 can run.  Enumerations are cached, because the same windows recur across
-the oracles and the tests; they use the fast generator, which
+the oracles and the tests; they wrap the fast generator, which
 ``test_diagrams`` checks against :func:`brute_force_diagrams`.
 """
 
@@ -31,14 +35,44 @@ from causetbox.diagrams import (
     BLACK,
     BLUE,
     RED,
-    Chord,
-    ChordDiagram,
     _noncrossing_matchings,
     enumerate_diagrams,
     restricted_class_parameters,
 )
 
-enumerated = functools.cache(enumerate_diagrams)
+
+@dataclass(frozen=True, order=True)
+class Chord:
+    """One chord: endpoints ``low < high``, a color, and for red/blue
+    chords the designated first end (``None`` exactly for black)."""
+
+    low: int
+    high: int
+    color: str
+    first_end: int | None = None
+
+
+@dataclass(frozen=True, order=True)
+class ChordDiagram:
+    """A colored partial chord diagram on points ``1..points``.
+
+    ``chords`` is kept sorted by endpoints so equal diagrams compare
+    and hash equal.
+    """
+
+    points: int
+    chords: tuple[Chord, ...]
+
+
+def diagram_objects(n_chords: int, n_points: int) -> list[ChordDiagram]:
+    """:func:`~causetbox.diagrams.enumerate_diagrams` as objects, in its
+    order, with one ``Chord`` per distinct chord tuple."""
+    keys = enumerate_diagrams(n_chords, n_points)
+    shared = {t: Chord(*t) for t in set(itertools.chain.from_iterable(keys))}
+    return [ChordDiagram(n_points, tuple(map(shared.__getitem__, key))) for key in keys]
+
+
+enumerated = functools.cache(diagram_objects)
 
 
 def bare_points(diagram: ChordDiagram) -> frozenset[int]:
@@ -383,7 +417,7 @@ def fiber_sizes(n_chords: int, half_points: int) -> dict[str, int]:
     :func:`~causetbox.diagrams.enumerate_diagrams`.
     """
     sizes: dict[str, int] = {}
-    for diagram in enumerate_diagrams(n_chords, 2 * half_points):
+    for diagram in diagram_objects(n_chords, 2 * half_points):
         key = odd_point_string(diagram)
         sizes[key] = sizes.get(key, 0) + 1
     return sizes

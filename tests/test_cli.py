@@ -146,15 +146,19 @@ class TestEnumerate:
             payload = {"chords": chords, "points": points, "count": len(elements)}
             assert json.loads(text) == {**payload, "elements": elements}, (chords, points)
 
-    def test_listing_builds_no_diagram_object(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a diagram object was built")
+    def test_listing_calls_the_enumeration_once(self, monkeypatch):
+        # by module attribute, so that a wrapper installed there sees the call
+        calls = []
+        listing = diagrams.enumerate_diagrams
 
-        monkeypatch.setattr(diagrams, "ChordDiagram", fail)
-        monkeypatch.setattr(diagrams, "Chord", fail)
-        monkeypatch.setattr(diagrams, "enumerate_diagrams", fail)
+        def spy(*args):
+            calls.append(args)
+            return listing(*args)
+
+        monkeypatch.setattr(diagrams, "enumerate_diagrams", spy)
         code, text = invoke(["enumerate", "--chords", "4", "--points", "12", "--list"])
         assert code == EXIT_OK
+        assert calls == [(4, 12)]
         lines = text.splitlines()
         assert lines[:2] == ["chords,points,count", "4,12,3840"]
         assert len(lines) == 2 + 3840
@@ -565,6 +569,17 @@ class TestSprinkle:
             ["sprinkle", "--dim", "2", "--density", "10", "--field", "wavelet:1"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("field", ["mono:,2", "mono:1,,2", "mono:2,"])
+    def test_empty_exponent_exit_2(self, field):
+        # skipping the empty item would shift the exponents that follow it
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", "2", "--density", "10", "--trials", "2", "--field", field]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert f"malformed field spec {field!r}" in errors
 
     @pytest.mark.parametrize(
         "flags",

@@ -81,7 +81,8 @@ EXTREMES = (
     [("--dim", v) for v in ("0", "-1", "400")]
     + [("--half-height", v) for v in ("0", "-1", "nan", "inf", "1e300")]
     + [("--trials", v) for v in ("0", "1000000000000")]
-    + [("--field", v) for v in ("const:nan", "mono:0,-1", "mono:x", "table:", "cubic:1")]
+    + [("--field", v) for v in ("const:nan", "mono:0,-1", "mono:x", "table:", "cubic:1",
+                                "mono:,2", "mono:1,,2", "mono:2,")]
     + [("--density", v) for v in ("0", "-1", "nan", "inf", "1e300")]
     + [("--ell", v) for v in ("0", "-1", "nan", "1e-300", "1e300")]
     + [("--seed", "-1")]
@@ -97,7 +98,9 @@ def sprinkle_argv(draw):
         "--half-height": draw(st.sampled_from(["0.25", "1"])),
         "--trials": draw(ints(1, 3)),
         "--field": draw(
-            st.sampled_from(["const:1", "mono:2", "mono:0,1", "mono:1,1,1,1,1,1", "table:1,2"])
+            st.sampled_from(
+                ["const:1", "mono:", "mono:2", "mono:0,1", "mono:1,1,1,1,1,1", "table:1,2"]
+            )
         ),
         "--seed": draw(ints(0, 5)),
     }

@@ -2,9 +2,10 @@
 
 Counts were frozen against the generating function (independent
 module) and, for the restricted classes, against hand-enumerated small
-cases.  The enumeration generates block words; ``diagram_oracle`` holds
-the validity spec, checked here on hand-built diagrams, and the
-brute-force filter over every candidate that it must equal, order
+cases.  The enumeration generates block words and returns chord tuples;
+``diagram_oracle`` holds the diagram objects, the validity spec, checked
+here on hand-built diagrams, and the brute-force filter over every
+candidate that the tuples, wrapped as objects, must equal, order
 included.  The restricted count and the cancellation replay come from a
 tally that builds no diagram; ``diagram_oracle`` holds the
 diagram-by-diagram filter and replay it must equal.  Where the counting
@@ -31,10 +32,7 @@ from causetbox.diagrams import (
     MAX_SERIES_CELLS,
     MAX_TALLY_SIZE,
     RED,
-    Chord,
-    ChordDiagram,
     _block_factor,
-    _diagram_keys,
     _tally,
     _tally_size,
     count_diagrams,
@@ -47,7 +45,10 @@ from causetbox.diagrams import (
 )
 from causetbox.genseries import diagram_series
 from diagram_oracle import (
+    Chord,
+    ChordDiagram,
     consecutive_bare_before,
+    diagram_objects,
     first_end_profile,
     inside_points,
     is_in_restricted_class,
@@ -139,13 +140,13 @@ class TestEnumeration:
                 )
 
     def test_all_enumerated_are_valid_unique_sorted(self):
-        elements = enumerate_diagrams(2, 6)
+        elements = diagram_objects(2, 6)
         assert len(set(elements)) == len(elements)
         assert elements == sorted(elements)
         assert all(is_valid_diagram(e) for e in elements)
 
     def test_no_colored_chord_inside_another(self):
-        for element in enumerate_diagrams(3, 8):
+        for element in diagram_objects(3, 8):
             colored = [c for c in element.chords if c.color != BLACK]
             for a, b in itertools.permutations(colored, 2):
                 assert not {a.low, a.high} <= inside_points(element.points, b)
@@ -156,7 +157,7 @@ class TestEnumeration:
         # admits two.
         for n, m in [(1, 2), (1, 3), (2, 4), (2, 6), (2, 7)]:
             groups = {}
-            for element in enumerate_diagrams(n, m):
+            for element in diagram_objects(n, m):
                 key = tuple(
                     (c.low, c.high, c.color) for c in element.chords
                 )
@@ -169,7 +170,7 @@ class TestGeneratorMatchesBruteForce:
     @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
     def test_equals_brute_force_in_order(self, n):
         for m in range(1, 13):
-            assert enumerate_diagrams(n, m) == oracle.brute_force_diagrams(n, m), (n, m)
+            assert diagram_objects(n, m) == oracle.brute_force_diagrams(n, m), (n, m)
 
     @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
     def test_keys_equal_the_brute_force_chord_tuples(self, n):
@@ -178,20 +179,20 @@ class TestGeneratorMatchesBruteForce:
                 tuple((c.low, c.high, c.color, c.first_end) for c in element.chords)
                 for element in oracle.brute_force_diagrams(n, m)
             )
-            assert _diagram_keys(n, m) == want, (n, m)
+            assert enumerate_diagrams(n, m) == want, (n, m)
 
     def test_keys_are_guarded_as_the_objects_are(self):
         with pytest.raises(FeasibilityError):
-            _diagram_keys(MAX_CHORDS + 1, 10)
+            enumerate_diagrams(MAX_CHORDS + 1, 10)
         with pytest.raises(FeasibilityError):
-            _diagram_keys(1, MAX_POINTS + 1)
+            enumerate_diagrams(1, MAX_POINTS + 1)
         with pytest.raises(ValueError):
-            _diagram_keys(0, 0)
+            enumerate_diagrams(0, 0)
 
     @pytest.mark.parametrize("n", range(MAX_CHORDS + 1))
     def test_every_generated_diagram_is_valid(self, n):
         for m in range(1, MAX_POINTS + 1):
-            elements = enumerate_diagrams(n, m)
+            elements = diagram_objects(n, m)
             assert all(is_valid_diagram(e) for e in elements), (n, m)
             assert len(set(elements)) == len(elements), (n, m)
 
@@ -225,13 +226,13 @@ class TestBareRuns:
 class TestProfilesAndRestriction:
     def test_profile_widths_sum_to_chord_count(self):
         for n, m in [(1, 3), (2, 6), (3, 8)]:
-            for element in enumerate_diagrams(n, m):
+            for element in diagram_objects(n, m):
                 profile = first_end_profile(element)
                 assert sum(profile.widths) == n
                 assert profile.first_ends == tuple(sorted(profile.first_ends))
 
     def test_place_bound_zero_is_vacuous(self):
-        for element in enumerate_diagrams(2, 6):
+        for element in diagram_objects(2, 6):
             assert is_in_restricted_class(element, 1, 0)
 
     def test_gap_bound_one_excludes_any_bare_run(self):

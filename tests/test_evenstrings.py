@@ -22,14 +22,14 @@ from causetbox.coefficients import (
     scaled_gamma_ratio,
 )
 from causetbox import evenstrings
-from causetbox.diagrams import RED, Chord, ChordDiagram
+from causetbox.diagrams import RED
 from causetbox.evenstrings import (
     MAX_STRING_CANDIDATES,
     count_constrained_paths,
     count_constrained_strings,
     enumerate_constrained_strings,
 )
-from diagram_oracle import fiber_sizes, odd_point_string
+from diagram_oracle import Chord, ChordDiagram, fiber_sizes, odd_point_string
 
 
 def brute_force_strings(dimension, index):

@@ -14,7 +14,6 @@ from causetbox.sprinkling import (
     DiamondConfig,
     MonomialField,
     _check_budget,
-    boost_coords,
     causal_matrix,
     diamond_volume,
     estimate_box,
@@ -59,6 +58,13 @@ class TestDiamondVolume:
             assert estimate == pytest.approx(diamond_volume(d, 1.0), rel=0.02)
 
 
+def boost(coords, rapidity):
+    """Lorentz boost of ``(t, x)`` coordinate rows by the given rapidity."""
+    cosh, sinh = math.cosh(rapidity), math.sinh(rapidity)
+    t, x = coords[:, 0], coords[:, 1]
+    return np.column_stack((cosh * t - sinh * x, -sinh * t + cosh * x))
+
+
 class TestCausalMatrix:
     def test_timelike_pair(self):
         matrix = causal_matrix(np.array([[0.0, 0.0], [1.0, 0.5]]))
@@ -75,7 +81,7 @@ class TestCausalMatrix:
     def test_boost_preserves_order(self):
         rng = np.random.default_rng(7)
         coords = rng.uniform(-1.0, 1.0, size=(40, 2))
-        boosted = boost_coords(coords, 0.5)
+        boosted = boost(coords, 0.5)
         assert np.array_equal(causal_matrix(coords), causal_matrix(boosted))
 
 
@@ -216,12 +222,17 @@ class TestFields:
     def test_parse(self):
         assert parse_field_spec("const:2.5") == ConstantField(2.5)
         assert parse_field_spec("mono:2,0") == MonomialField((2, 0))
+        assert parse_field_spec("mono:2") == MonomialField((2,))
+        assert parse_field_spec("mono:") == MonomialField(())
         with pytest.raises(ValueError):
             parse_field_spec("table:1,2")
         with pytest.raises(ValueError):
             parse_field_spec("nope:1")
         with pytest.raises(ValueError):
             parse_field_spec("mono:x")
+        for text in ("mono:,2", "mono:1,,2", "mono:2,"):  # an empty exponent
+            with pytest.raises(ValueError, match="malformed field spec"):
+                parse_field_spec(text)
 
 
 class TestEstimateBox:
