@@ -181,7 +181,7 @@ class TestGeneratorMatchesBruteForce:
             )
             assert enumerate_diagrams(n, m) == want, (n, m)
 
-    def test_keys_are_guarded_as_the_objects_are(self):
+    def test_keys_are_guarded(self):
         with pytest.raises(FeasibilityError):
             enumerate_diagrams(MAX_CHORDS + 1, 10)
         with pytest.raises(FeasibilityError):
