@@ -278,8 +278,13 @@ def layer_sums(
     """Sum of the field over each layer ``L_1(x) .. L_max_layer(x)``."""
     _check_elements(causal_set, x)
     max_layer = _check_int(max_layer, "max_layer", 0)
-    below, between = _past(causal_set, x)  # layer index is between + 1
-    sums = np.bincount(between, weights=np.asarray(field)[below], minlength=max_layer)
+    below, between = _past(causal_set, x)
+    return _sum_layers(between, np.asarray(field)[below], max_layer)
+
+
+def _sum_layers(between: np.ndarray, values: np.ndarray, max_layer: int) -> np.ndarray:
+    """Sum ``values`` in index order over layers ``between + 1 <= max_layer``."""
+    sums = np.bincount(between, weights=values, minlength=max_layer)
     return sums[:max_layer].astype(float, copy=False)  # an empty past counts as ints
 
 
@@ -327,10 +332,15 @@ def box_operator(
     _check_length_scale(length_scale)
     values = _as_field(field, causal_set.size)
     constants = coefficients.operator_constants(dimension)
-    weighted = _weighted(dimension, layer_sums(causal_set, x, values, num_layers(dimension)))
-    return (constants.alpha * values[x] + constants.beta * weighted) / _length_power(
-        length_scale, 2, dimension
-    )
+    sums = layer_sums(causal_set, x, values, num_layers(dimension))
+    return _box(constants, length_scale, values[x], sums)
+
+
+def _box(constants: coefficients.OperatorConstants, length: float, value: float, sums) -> float:
+    """The box formula from the field ``value`` at an element and its layer ``sums``."""
+    weighted = _weighted(constants.dimension, sums)
+    scale = _length_power(length, 2, constants.dimension)
+    return (constants.alpha * value + constants.beta * weighted) / scale
 
 
 def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:

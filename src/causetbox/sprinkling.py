@@ -12,7 +12,9 @@ validated on every build.
 Randomness is counter-based: a sprinkle is a pure function of its
 config (including the seed), and :func:`estimate_box` derives one
 independent child stream per trial, so trials are reproducible and
-order-independent.
+order-independent.  A trial builds and validates the whole sprinkle but
+evaluates the field only where the box operator reads it: on the tip and
+its first ``floor(d/2) + 2`` layers.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causet import MAX_ARRAY_BYTES, CausalSet, box_operator
-from .coefficients import FeasibilityError, _check_int
+from . import coefficients  # memoized constants, looked up where a tracer patches them
+from .causet import MAX_ARRAY_BYTES, CausalSet, _box, _past, _sum_layers
+from .coefficients import FeasibilityError, _check_int, num_layers
 
 __all__ = [
     "DiamondConfig",
@@ -38,6 +41,15 @@ __all__ = [
     "parse_field_spec",
     "estimate_box",
 ]
+
+
+#: Work bound of one Monte Carlo estimate, in steps of roughly 25 ps (one
+#: float32 product of the interval pass on a 2-core host): about 40 minutes.
+MAX_SPRINKLE_STEPS = 10**14
+
+#: Steps charged to each trial for its fixed cost, about 0.2 ms: sampling,
+#: the validated causal set, the field and the coefficients.
+_TRIAL_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -116,10 +128,16 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
     incomparable).
     """
     coords = np.asarray(coords, dtype=float)
-    times = coords[:, 0]
     spatial = coords[:, 1:]
-    dt = times[None, :] - times[:, None]
-    dx = np.linalg.norm(spatial[None, :, :] - spatial[:, None, :], axis=2)
+    if spatial.shape[1] < 8:
+        # the squares added left to right, as np.linalg.norm adds fewer than 8
+        dx = np.zeros((len(coords), len(coords)))
+        for axis in spatial.T:
+            dx += np.square(axis[None, :] - axis[:, None])
+        np.sqrt(dx, out=dx)
+    else:  # numpy adds 8 or more values pairwise, in another order
+        dx = np.linalg.norm(spatial[None, :, :] - spatial[:, None, :], axis=2)
+    dt = coords[None, :, 0] - coords[:, None, 0]
     return (dt >= dx) & (dt > 0)
 
 
@@ -173,8 +191,13 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
     whole-column array powers can round differently in the last bit, and
     Python float powers raise where numpy gives ``inf`` (``0.0 ** -1``).
     """
+    return _field_at(spec, causal_set, np.arange(causal_set.size))
+
+
+def _field_at(spec: FieldSpec, causal_set: CausalSet, elements: np.ndarray) -> np.ndarray:
+    """:func:`field_values` at the given element indices only."""
     if isinstance(spec, ConstantField):
-        return np.full(causal_set.size, float(spec.value))
+        return np.full(len(elements), float(spec.value))
     if causal_set.coords is None:
         raise ValueError("coordinate fields need a causal set with coordinates")
     exponents = spec.exponents
@@ -183,7 +206,7 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
         raise ValueError(
             f"monomial uses {len(exponents)} coordinates but the point has {width}"
         )
-    rows = causal_set.coords[:, : len(exponents)]
+    rows = causal_set.coords[elements, : len(exponents)]
     return np.array(
         [math.prod(v**e for v, e in zip(row, exponents)) for row in rows], dtype=float
     )
@@ -192,11 +215,13 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse CLI field syntax: ``const:VALUE`` or ``mono:E0,E1,...``
     (coordinate exponents, time first; ``mono:`` is the constant 1)."""
-    kind, _, payload = text.partition(":")
+    kind, colon, payload = text.partition(":")
     try:
         if kind == "const":
             return ConstantField(value=float(payload))
         if kind == "mono":
+            if not colon:  # ``mono:`` is the constant 1, ``mono`` a slip
+                raise ValueError("no ':' before the exponents")
             return MonomialField(
                 exponents=tuple(int(e) for e in payload.split(",")) if payload else ()
             )
@@ -208,13 +233,21 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 def _check_budget(config: DiamondConfig, trials: int) -> None:
-    """Refuse an estimate whose arrays would not fit ``MAX_ARRAY_BYTES``.
+    """Refuse an estimate too large in memory or in work, from its arguments.
 
-    A trial with ``N`` elements holds, at its peak in
-    :func:`causal_matrix`, ``d - 1`` spatial differences plus the
-    distance and time-difference matrices: ``d + 1`` float64 values per
-    ordered pair.  ``N`` is taken as the expected Poisson count plus the
-    tip, and the per-trial values add one float64 per trial.
+    ``N`` is the expected Poisson count plus the tip.  Memory: a trial's
+    peak is in :func:`causal_matrix`.  Below d = 9 it holds the running
+    sum of squared spatial differences and one axis's difference and
+    square, 3 float64 values per ordered pair.  From d = 9
+    ``np.linalg.norm`` holds every spatial difference and its square,
+    ``2 (d - 1) + 2`` values per pair.  The budget charges ``d + 1``
+    float64 values per pair, which covers the per-axis peak but not the
+    norm's, and one float64 per trial.
+
+    Work, checked after memory: each trial is charged ``_TRIAL_STEPS`` for
+    its fixed cost, ``(d + 1) N^2`` steps for the order matrix and
+    ``N^3`` for the interval pass that validates it, and the trials
+    together may take ``MAX_SPRINKLE_STEPS``.
     """
     elements = config.density * diamond_volume(config.dimension, config.half_height)
     pairs = (elements + 1) * (elements + 1)  # a float product: inf, never OverflowError
@@ -225,6 +258,27 @@ def _check_budget(config: DiamondConfig, trials: int) -> None:
             f"{trials} trials need about {needed:.3g} bytes "
             f"(guard: <= {MAX_ARRAY_BYTES} bytes)"
         )
+    steps = trials * (_TRIAL_STEPS + (config.dimension + 1 + elements + 1) * pairs)
+    if not steps <= MAX_SPRINKLE_STEPS:
+        raise FeasibilityError(
+            f"sprinkle too long: about {elements:.4g} elements per trial and "
+            f"{trials} trials take about {steps:.3g} steps "
+            f"(guard: <= {MAX_SPRINKLE_STEPS:.0e} steps)"
+        )
+
+
+def _box_at_tip(config: DiamondConfig, field_spec: FieldSpec, rng: np.random.Generator) -> float:
+    """One trial: the box operator at the tip of a validated sprinkle, with the
+    field evaluated only where the operator reads it (the tip and its layers)."""
+    result = _sprinkle_with_rng(config, rng)
+    layers = num_layers(config.dimension)
+    below, between = _past(result.causal_set, result.eval_index)
+    near = between < layers
+    elements = np.append(below[near], result.eval_index)
+    values = _field_at(field_spec, result.causal_set, elements)
+    constants = coefficients.operator_constants(config.dimension)
+    sums = _sum_layers(between[near], values[:-1], layers)
+    return _box(constants, config.length_scale, values[-1], sums)
 
 
 def estimate_box(
@@ -234,8 +288,10 @@ def estimate_box(
 
     Each trial sprinkles independently (child RNG stream ``(seed, trial)``),
     evaluates the operator at the top tip with the length scale derived
-    from the density, and the results are averaged in trial order.  A
-    request whose arrays exceed ``MAX_ARRAY_BYTES`` raises
+    from the density, and the results are averaged in trial order.  The
+    field is evaluated only on the tip and its layers (a field infinite or
+    NaN only elsewhere does not warn).  A request whose arrays exceed
+    ``MAX_ARRAY_BYTES``, or whose work exceeds ``MAX_SPRINKLE_STEPS``, raises
     :class:`~causetbox.coefficients.FeasibilityError` before any is allocated.
     """
     trials = _check_int(trials, "trials", 1)
@@ -244,15 +300,7 @@ def estimate_box(
     for trial in range(trials):
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
         rng = np.random.Generator(np.random.Philox(seq))
-        result = _sprinkle_with_rng(config, rng)
-        field = field_values(field_spec, result.causal_set)
-        values[trial] = box_operator(
-            result.causal_set,
-            config.dimension,
-            config.length_scale,
-            field,
-            result.eval_index,
-        )
+        values[trial] = _box_at_tip(config, field_spec, rng)
     mean = float(values.mean())
     if trials == 1:
         return mean, 0.0

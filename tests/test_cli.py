@@ -570,9 +570,10 @@ class TestSprinkle:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("field", ["mono:,2", "mono:1,,2", "mono:2,"])
+    @pytest.mark.parametrize("field", ["mono:,2", "mono:1,,2", "mono:2,", "mono", "const"])
     def test_empty_exponent_exit_2(self, field):
-        # skipping the empty item would shift the exponents that follow it
+        # skipping the empty item would shift the exponents that follow it,
+        # and a kind with no colon is not the empty monomial (the constant 1)
         code, text, errors = invoke_with_errors(
             ["sprinkle", "--dim", "2", "--density", "10", "--trials", "2", "--field", field]
         )
@@ -586,6 +587,7 @@ class TestSprinkle:
         [
             ["--density", "1e9"],
             ["--density", "10", "--trials", "1000000000000"],
+            ["--density", "1", "--trials", "100000000"],  # over the work bound only
             ["--density", "1e308"],
             ["--ell", "1e-100"],
         ],

@@ -82,7 +82,7 @@ EXTREMES = (
     + [("--half-height", v) for v in ("0", "-1", "nan", "inf", "1e300")]
     + [("--trials", v) for v in ("0", "1000000000000")]
     + [("--field", v) for v in ("const:nan", "mono:0,-1", "mono:x", "table:", "cubic:1",
-                                "mono:,2", "mono:1,,2", "mono:2,")]
+                                "mono:,2", "mono:1,,2", "mono:2,", "mono", "const")]
     + [("--density", v) for v in ("0", "-1", "nan", "inf", "1e300")]
     + [("--ell", v) for v in ("0", "-1", "nan", "1e-300", "1e300")]
     + [("--seed", "-1")]
@@ -92,11 +92,13 @@ EXTREMES = (
 @st.composite
 def sprinkle_argv(draw):
     """A valid sprinkle of at most ~80 elements per trial (density <= 40 or
-    ell >= 0.5, half height <= 1, d <= 5), often with one extreme option."""
+    ell >= 0.5, half height <= 1, d <= 5) and 1 to 3 trials or else over the
+    work bound, often with one extreme option."""
     options = {
         "--dim": draw(ints(1, 5)),
         "--half-height": draw(st.sampled_from(["0.25", "1"])),
-        "--trials": draw(ints(1, 3)),
+        # 10**8 trials and more exit 3 at once: each trial is charged a fixed cost
+        "--trials": draw(st.one_of(ints(1, 3), ints(10**8, 10**9))),
         "--field": draw(
             st.sampled_from(
                 ["const:1", "mono:", "mono:2", "mono:0,1", "mono:1,1,1,1,1,1", "table:1,2"]

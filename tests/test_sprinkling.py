@@ -1,12 +1,13 @@
 """Poisson sprinkling, the induced order, and the Monte Carlo estimator."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causetbox.causet import MAX_ARRAY_BYTES, CausalSet, from_relations
+from causetbox.causet import MAX_ARRAY_BYTES, CausalSet, box_operator, from_relations
 from causetbox import sprinkling
 from causetbox.coefficients import FeasibilityError
 from causetbox.sprinkling import (
@@ -65,7 +66,38 @@ def boost(coords, rapidity):
     return np.column_stack((cosh * t - sinh * x, -sinh * t + cosh * x))
 
 
+def reference_causal_matrix(coords):
+    """The all-axes form that causal_matrix replaced below d = 9, kept as
+    its oracle: every spatial difference at once, then np.linalg.norm."""
+    coords = np.asarray(coords, dtype=float)
+    dt = coords[None, :, 0] - coords[:, None, 0]
+    dx = np.linalg.norm(coords[None, :, 1:] - coords[:, None, 1:], axis=2)
+    return (dt >= dx) & (dt > 0)
+
+
 class TestCausalMatrix:
+    @pytest.mark.parametrize("dimension", range(2, 13))
+    def test_equals_the_norm_form(self, dimension):
+        for seed in range(25):
+            rng = np.random.default_rng([dimension, seed])
+            coords = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 90)), dimension))
+            if seed % 2:  # coarse grids: ties, lightlike pairs and duplicates
+                coords = np.round(coords * 4) / 4
+            assert np.array_equal(causal_matrix(coords), reference_causal_matrix(coords))
+
+    def test_hand_made_lightlike_and_duplicate_points(self):
+        for dimension in range(2, 13):
+            coords = np.zeros((6, dimension))
+            coords[1, 0] = coords[1, 1] = 1.0  # lightlike to the origin along x1
+            coords[2, 0], coords[2, 1:] = 3.0, 1.0  # |x| = sqrt(d - 1) <= 3: related
+            coords[3] = coords[2]  # a duplicate: incomparable to its twin
+            coords[4, 0], coords[4, -1] = 0.5, -0.5  # lightlike along the last axis
+            coords[5, 0] = -1.0  # timelike below the origin
+            got = causal_matrix(coords)
+            assert np.array_equal(got, reference_causal_matrix(coords))
+            assert got[0, 1] and got[0, 4] and got[5, 0] and got[0, 2] == (dimension <= 10)
+            assert not got[2, 3] and not got[3, 2] and not got.diagonal().any()
+
     def test_timelike_pair(self):
         matrix = causal_matrix(np.array([[0.0, 0.0], [1.0, 0.5]]))
         assert matrix[0, 1] and not matrix[1, 0]
@@ -128,6 +160,20 @@ class TestSprinkle:
         expected = config.density * diamond_volume(2, 1.0)
         std_error = math.sqrt(expected / len(counts))
         assert abs(counts.mean() - expected) < 4 * std_error
+
+    @pytest.mark.parametrize(
+        "dimension, density, size, digest",
+        [
+            (9, 140.0, 125, "3cf9f4045b307ae743af02e7540e719713e8b278c79d20f7d47b59b3e0de4fca"),
+            (10, 185.0, 120, "2c62bf632c447ab38caab1002434615734b2f2fdd769b0bcd17f4659ee482f35"),
+        ],
+    )
+    def test_pinned_order_digests(self, dimension, density, size, digest):
+        # SHA-256 of the bool order matrix, recorded before causal_matrix
+        # summed the spatial axes one at a time (d >= 9 keeps np.linalg.norm).
+        causal_set = sprinkle(DiamondConfig(dimension, density, 1.0, 5)).causal_set
+        assert causal_set.size == size
+        assert hashlib.sha256(causal_set.precedes.tobytes()).hexdigest() == digest
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -233,6 +279,9 @@ class TestFields:
         for text in ("mono:,2", "mono:1,,2", "mono:2,"):  # an empty exponent
             with pytest.raises(ValueError, match="malformed field spec"):
                 parse_field_spec(text)
+        for text in ("mono", "const"):  # no colon: not the empty monomial
+            with pytest.raises(ValueError, match=f"malformed field spec '{text}'"):
+                parse_field_spec(text)
 
 
 class TestEstimateBox:
@@ -287,6 +336,63 @@ class TestEstimateBox:
         with pytest.raises(FeasibilityError):
             _check_budget(outside, 1)
 
+    def test_work_bound(self):
+        # Each trial is charged 10**7 steps plus (d + 1 + N) N^2 for the N
+        # elements and the tip, within 10**14 steps.  At d = 2, density 1,
+        # that admits about 10**7 trials.
+        tiny = DiamondConfig(dimension=2, density=1.0, half_height=1.0, seed=1)
+        _check_budget(tiny, 9_000_000)
+        with pytest.raises(FeasibilityError, match="sprinkle too long: about 2 elements"):
+            _check_budget(tiny, 11_000_000)
+        # at 9000 elements 100 trials fit the work bound and 200 do not,
+        # though both fit the byte bound
+        large = DiamondConfig(dimension=2, density=8999 / 2, half_height=1.0, seed=1)
+        _check_budget(large, 100)
+        with pytest.raises(FeasibilityError, match="200 trials take about"):
+            _check_budget(large, 200)
+        # a request over both bounds is named by the byte bound
+        with pytest.raises(FeasibilityError, match="sprinkle too large"):
+            _check_budget(DiamondConfig(2, 10.0, 1.0, 1), 10**12)
+        # the README example and 20,000-trial probes at density 20 fit
+        _check_budget(DiamondConfig(2, 20.0, 1.0, 7), 50)
+        _check_budget(DiamondConfig(2, 20.0, 1.0, 1), 20_000)
+        _check_budget(DiamondConfig(4, 20.0, 1.0, 1), 20_000)
+
+    def test_work_bound_refuses_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled points for an over-budget estimate")
+
+        monkeypatch.setattr(sprinkling, "_sample_diamond", refuse)
+        config = DiamondConfig(dimension=2, density=1.0, half_height=1.0, seed=1)
+        with pytest.raises(FeasibilityError, match="100000000 trials take"):
+            estimate_box(config, ConstantField(1.0), 10**8)
+
+    @pytest.mark.parametrize(
+        "dimension, density", [(2, 60.0), (3, 40.0), (4, 40.0), (5, 25.0), (6, 25.0), (8, 20.0)]
+    )
+    @pytest.mark.parametrize(
+        "field", ["const:1", "const:nan", "mono:2", "mono:0,2", "mono:1,1", "mono:0,-1", "mono:3,1"]
+    )
+    def test_trial_equals_the_box_operator_on_the_whole_sprinkle(self, dimension, density, field):
+        # a trial evaluates the field on the tip and its first layers only;
+        # the operator on the sprinkle evaluates it everywhere
+        spec = parse_field_spec(field)
+        for seed in range(8):
+            config = DiamondConfig(dimension, density, 1.0, seed)
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            with np.errstate(all="ignore"):
+                got = sprinkling._box_at_tip(config, spec, rng)
+                result = sprinkle(config)
+                want = box_operator(
+                    result.causal_set,
+                    dimension,
+                    config.length_scale,
+                    field_values(spec, result.causal_set),
+                    result.eval_index,
+                )
+            assert np.array_equal(got, want, equal_nan=True), (seed, got, want)
+            assert np.signbit(got) == np.signbit(want)
+
     @pytest.mark.parametrize(
         "config, spec, trials, expected",
         [
@@ -300,3 +406,46 @@ class TestEstimateBox:
     def test_pinned_values(self, config, spec, trials, expected):
         # Bit-identical to the per-predecessor loop implementation.
         assert estimate_box(config, spec, trials) == expected
+
+    # Recorded before the trials read only the tip's layers; six trials,
+    # seed 11, half height 1, one row per (dimension, density).
+    PINNED = {
+        (2, 40.0): {
+            "const:1": (-453.3333333333333, 354.5764296233528),
+            "mono:2": (-102.95346685641725, 103.25598258537347),
+            "mono:0,2": (-103.00001587650404, 135.2562762790669),
+            "mono:1,1": (88.2877126841862, 44.03839807336543),
+        },
+        (3, 30.0): {
+            "const:1": (3.8297410329361363, 61.55966177315025),
+            "mono:2": (-4.798380371500499, 5.943207260606511),
+            "mono:0,2": (-5.526995987811504, 9.530284503948575),
+            "mono:1,1": (4.986155381946848, 3.041742892479164),
+        },
+        (4, 30.0): {
+            "const:1": (-83.47987115999213, 298.3927315170767),
+            "mono:2": (-6.2566285701490445, 8.436597598837732),
+            "mono:0,2": (-8.957730752240053, 49.92896016109165),
+            "mono:1,1": (-5.114238547794696, 13.937497512952314),
+        },
+        (5, 20.0): {
+            "const:1": (21.385031060059024, 19.124873611920805),
+            "mono:2": (0.4996777282111913, 1.7307665411291204),
+            "mono:0,2": (5.811087917060081, 2.2225334707741804),
+            "mono:1,1": (-0.5160272912057032, 1.0669789930094582),
+        },
+        (8, 20.0): {
+            "const:1": (36.94774019251687, 66.95099150364148),
+            "mono:2": (7.358113642759174, 11.632954315949709),
+            "mono:0,2": (-1.0680622627756193, 1.295134904963716),
+            "mono:1,1": (-0.6509752390221525, 1.4069260900704657),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "dimension, density, field, expected",
+        [(d, rho, field, pair) for (d, rho), row in PINNED.items() for field, pair in row.items()],
+    )
+    def test_pinned_across_dimensions_and_fields(self, dimension, density, field, expected):
+        config = DiamondConfig(dimension, density, 1.0, 11)
+        assert estimate_box(config, parse_field_spec(field), 6) == expected
