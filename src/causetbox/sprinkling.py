@@ -51,6 +51,11 @@ MAX_SPRINKLE_STEPS = 10**14
 #: the validated causal set, the field and the coefficients.
 _TRIAL_STEPS = 10**7
 
+#: Rows of the order built at once by :func:`causal_matrix`.  A block of a
+#: few hundred KB is reused from the heap trial after trial, where whole
+#: ``N x N`` float64 temporaries were mapped in and returned on every call.
+_ORDER_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class DiamondConfig:
@@ -125,20 +130,26 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
 
     ``a < b`` iff ``t_b - t_a >= |x_b - x_a|`` and ``t_b > t_a``
     (lightlike separations count as related; exact duplicates are
-    incomparable).
+    incomparable).  The order is filled in row blocks of
+    ``_ORDER_BLOCK_ROWS``, so the float64 temporaries span one block, not
+    all ``N x N`` pairs; every entry takes the same float operations.
     """
     coords = np.asarray(coords, dtype=float)
-    spatial = coords[:, 1:]
-    if spatial.shape[1] < 8:
-        # the squares added left to right, as np.linalg.norm adds fewer than 8
-        dx = np.zeros((len(coords), len(coords)))
-        for axis in spatial.T:
-            dx += np.square(axis[None, :] - axis[:, None])
-        np.sqrt(dx, out=dx)
-    else:  # numpy adds 8 or more values pairwise, in another order
-        dx = np.linalg.norm(spatial[None, :, :] - spatial[:, None, :], axis=2)
-    dt = coords[None, :, 0] - coords[:, None, 0]
-    return (dt >= dx) & (dt > 0)
+    time, spatial = coords[:, 0], coords[:, 1:]
+    order = np.empty((len(coords), len(coords)), dtype=bool)
+    for start in range(0, len(coords), _ORDER_BLOCK_ROWS):
+        rows = slice(start, start + _ORDER_BLOCK_ROWS)
+        if spatial.shape[1] < 8:
+            # the squares added left to right, as np.linalg.norm adds fewer than 8
+            dx = np.zeros((len(time[rows]), len(coords)))
+            for axis in spatial.T:
+                dx += np.square(axis[None, :] - axis[rows, None])
+            np.sqrt(dx, out=dx)
+        else:  # numpy adds 8 or more values pairwise, in another order
+            dx = np.linalg.norm(spatial[None, :, :] - spatial[rows, None, :], axis=2)
+        dt = time[None, :] - time[rows, None]
+        order[rows] = (dt >= dx) & (dt > 0)
+    return order
 
 
 def _sample_diamond(
@@ -236,13 +247,15 @@ def _check_budget(config: DiamondConfig, trials: int) -> None:
     """Refuse an estimate too large in memory or in work, from its arguments.
 
     ``N`` is the expected Poisson count plus the tip.  Memory: a trial's
-    peak is in :func:`causal_matrix`.  Below d = 9 it holds the running
-    sum of squared spatial differences and one axis's difference and
-    square, 3 float64 values per ordered pair.  From d = 9
-    ``np.linalg.norm`` holds every spatial difference and its square,
-    ``2 (d - 1) + 2`` values per pair.  The budget charges ``d + 1``
-    float64 values per pair, which covers the per-axis peak but not the
-    norm's, and one float64 per trial.
+    peak is in :func:`causal_matrix`: the bool order, one byte per ordered
+    pair, plus the float64 temporaries of one block of
+    ``_ORDER_BLOCK_ROWS`` rows.  Below d = 9 a block holds the running sum
+    of squared spatial differences and one axis's difference and square;
+    from d = 9 ``np.linalg.norm`` holds every spatial difference and its
+    square, ``2 (d - 1) + 2`` values per pair of the block.  The budget
+    charges ``d + 1`` float64 values per pair and one float64 per trial,
+    which covers both once N exceeds two blocks (N > 128).  A smaller
+    sprinkle can hold up to twice its charge, but under 3 MB for d <= 20.
 
     Work, checked after memory: each trial is charged ``_TRIAL_STEPS`` for
     its fixed cost, ``(d + 1) N^2`` steps for the order matrix and

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,33 @@ class TestCausalMatrix:
                 coords = np.round(coords * 4) / 4
             assert np.array_equal(causal_matrix(coords), reference_causal_matrix(coords))
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_block_boundaries(self, block, monkeypatch):
+        monkeypatch.setattr(sprinkling, "_ORDER_BLOCK_ROWS", block)
+        for dimension in range(2, 13):
+            rng = np.random.default_rng([block, dimension])
+            sizes = [0, 1, 4 * block - 1, 4 * block, 4 * block + 1]
+            sizes += [int(n) for n in rng.integers(2, 91, size=4)]
+            for index, size in enumerate(sizes):
+                coords = rng.uniform(-1.0, 1.0, size=(size, dimension))
+                if index % 2:  # coarse grids: ties, lightlike pairs and duplicates
+                    coords = np.round(coords * 4) / 4
+                assert np.array_equal(causal_matrix(coords), reference_causal_matrix(coords))
+
+    @pytest.mark.parametrize("dimension", [9, 12])
+    def test_peak_memory_within_the_budget_charge(self, dimension):
+        # _check_budget charges 8 (d + 1) bytes per ordered pair; the whole
+        # np.linalg.norm held 2 (d - 1) + 2 float64 values per pair
+        size = 600
+        coords = np.random.default_rng(dimension).uniform(-1.0, 1.0, size=(size, dimension))
+        tracemalloc.start()
+        try:
+            causal_matrix(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (dimension + 1) * size * size
+
     def test_hand_made_lightlike_and_duplicate_points(self):
         for dimension in range(2, 13):
             coords = np.zeros((6, dimension))
@@ -164,13 +192,17 @@ class TestSprinkle:
     @pytest.mark.parametrize(
         "dimension, density, size, digest",
         [
+            (2, 400.0, 795, "f5551badb754147a2268a1220438c6542c078911028216426a3a66cf49a4bb52"),
+            (4, 400.0, 832, "d46e0833cb19eebcd828259c319ceb9a327ad1670070a3e2642179fa25459b03"),
             (9, 140.0, 125, "3cf9f4045b307ae743af02e7540e719713e8b278c79d20f7d47b59b3e0de4fca"),
             (10, 185.0, 120, "2c62bf632c447ab38caab1002434615734b2f2fdd769b0bcd17f4659ee482f35"),
         ],
     )
     def test_pinned_order_digests(self, dimension, density, size, digest):
         # SHA-256 of the bool order matrix, recorded before causal_matrix
-        # summed the spatial axes one at a time (d >= 9 keeps np.linalg.norm).
+        # summed the spatial axes one at a time (d >= 9 keeps np.linalg.norm)
+        # and, for d = 2 and 4 (13 row blocks), before it built the order in
+        # row blocks.
         causal_set = sprinkle(DiamondConfig(dimension, density, 1.0, 5)).causal_set
         assert causal_set.size == size
         assert hashlib.sha256(causal_set.precedes.tobytes()).hexdigest() == digest
