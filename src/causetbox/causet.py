@@ -18,15 +18,16 @@ Every all-pairs count comes from one *interval pass*, the product
 ``P @ P`` taken in float32 row blocks: on a closed order its entry
 ``[a, b]`` counts the elements strictly between ``a < b``.  A float32 sum
 of 0/1 products is exact below 2**24, far above any element count the
-memory budget admits.  One pass gives both the pairs a closure step would
-still add and the interval histogram (entry ``k`` counts the related
-pairs with ``k`` elements strictly between them).  A causal set runs the
-pass once when it is built (:func:`from_relations` hands over the pass
-that closed its relation) and keeps the histogram, from which
-:func:`interval_abundances` reads ``N_i`` without another product.  The
-pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and one
-block of ``_BLOCK_ROWS x N`` products with its temporaries; counted with
-the caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
+memory budget admits.  The pass sweeps the blocks from last to first,
+closing each in place, until a sweep adds nothing; that sweep gives the
+interval histogram (entry ``k`` counts the related pairs with ``k``
+elements strictly between them).  A causal set runs the pass once when
+it is built (:func:`from_relations` hands over the pass that closed its
+relation) and keeps the histogram, from which :func:`interval_abundances`
+reads ``N_i`` without another product.  The pass holds the ``N x N``
+bool order, one ``N x N`` float32 copy and one block of
+``_BLOCK_ROWS x N`` products with its temporaries; counted with the
+caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
 raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
 allocates (before anything is, in :func:`from_relations`).
 
@@ -68,7 +69,7 @@ __all__ = [
 #: before allocating.
 MAX_ARRAY_BYTES = 2**31
 
-#: Rows of the order multiplied at once by the interval pass.
+#: Most rows of the order multiplied at once by the interval pass.
 _BLOCK_ROWS = 512
 
 
@@ -79,10 +80,10 @@ class CausalSet:
     ``precedes`` is an ``N x N`` boolean matrix that must be
     irreflexive, antisymmetric, and transitively closed; ``coords``
     (when present) holds one row of spacetime coordinates per element,
-    time first.  Building one runs the interval pass once, for the
-    transitivity check, and keeps its histogram for
-    :func:`interval_abundances`.  Equality and hashing are by identity:
-    arrays have no single truth value to compare by.
+    time first.  Building one runs the interval pass, which must add
+    nothing, and keeps its histogram for :func:`interval_abundances`.
+    Equality and hashing are by identity: arrays have no single truth
+    value to compare by.
     """
 
     precedes: np.ndarray
@@ -141,10 +142,10 @@ def _check_pass_budget(n_elements: int) -> None:
 
     At its peak a causal set built from a bool matrix holds ``6*N*N``
     bytes (the caller's matrix, the validated copy and its float32
-    operand) and one block of ``_BLOCK_ROWS`` rows with its
+    operand) and one block of at most ``_BLOCK_ROWS`` rows with its
     temporaries, at most 16 bytes per block entry (the float32 products,
     the related entries as float32 and as int64).  A closure in
-    :func:`from_relations` holds no more.
+    :func:`from_relations` holds no more (a block that grows, at most 9).
     """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
     if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
@@ -155,30 +156,56 @@ def _check_pass_budget(n_elements: int) -> None:
 
 
 def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
-    """One pass of ``B = P @ P`` over the bool matrix ``order``.
+    """Close the bool matrix ``order`` in place by sweeps of ``B = P @ P``.
 
-    Adds to ``order``, in place, every pair ``a < b`` implied by some
-    ``a < c < b`` (one closure step), and returns whether it added any,
-    with the histogram of ``B`` over the related pairs: entry ``k`` counts
-    the pairs ``a < b`` with ``k`` elements strictly between them, which
-    holds when nothing was added.  ``B`` is formed in float32 blocks of
-    ``_BLOCK_ROWS`` rows (exact below 2**24), so besides ``order`` the
-    pass holds one ``N x N`` float32 copy and one block.
+    Returns whether any sweep added a pair, and the histogram of ``B``
+    over the related pairs from the sweep that added none: entry ``k``
+    counts the pairs ``a < b`` with ``k`` elements strictly between them.
+    ``B`` is formed in float32 (exact below 2**24) in blocks of at most
+    ``_BLOCK_ROWS`` rows and about 256 KiB of products.
     """
-    n_elements = order.shape[0]
-    _check_pass_budget(n_elements)
+    _check_pass_budget(len(order))
     operand = order.astype(np.float32)
-    histogram = np.zeros(n_elements + 1, dtype=np.int64)  # a cycle can reach N
+    size = min(_BLOCK_ROWS, max(64, 2**16 // max(len(order), 1)))
     grew = False
-    for start in range(0, n_elements, _BLOCK_ROWS):
-        rows = order[start : start + _BLOCK_ROWS]  # a view: the update writes through
-        between = operand[start : start + _BLOCK_ROWS] @ operand
-        histogram += np.bincount(between[rows].astype(np.int64), minlength=n_elements + 1)
-        added = (between > 0) & ~rows
-        if added.any():
-            grew = True
-            rows |= added
+    while (histogram := _sweep(order, operand, size)) is None:
+        grew = True
     return grew, histogram
+
+
+def _sweep(order: np.ndarray, operand: np.ndarray, size: int) -> np.ndarray | None:
+    """One sweep over blocks of ``size`` rows: the histogram, or ``None`` if it grew.
+
+    The blocks run from last to first, each multiplying its rows by an
+    ``operand`` whose later rows are closed; one that grows squares its
+    ``b x b`` part until nothing changes, then adds that part times its
+    rows.  One sweep thus closes a relation whose pairs all have ``a < b``.
+    """
+    histogram = np.zeros(len(order) + 1, dtype=np.int64)  # a cycle can reach N
+    for start in reversed(range(0, len(order), size)):
+        block = slice(start, start + size)
+        rows = order[block]  # a view: the updates write through
+        between = operand[block] @ operand
+        if not _extend(rows, between):
+            if histogram is not None:  # void once a block has grown
+                histogram += np.bincount(between[rows].astype(np.int64), minlength=histogram.size)
+            continue
+        histogram = between = None
+        inner = rows[:, block]  # the block's own b x b part, a view
+        square = inner.astype(np.float32)
+        while _extend(inner, square @ square):
+            square = inner.astype(np.float32)
+        operand[block] = rows
+        _extend(rows, operand[block, block] @ operand[block])
+        operand[block] = rows
+    return histogram
+
+
+def _extend(rows: np.ndarray, products: np.ndarray) -> bool:
+    """Add to ``rows`` in place the pairs with positive ``products``; whether any was new."""
+    related = np.count_nonzero(rows)
+    rows |= products > 0
+    return np.count_nonzero(rows) > related
 
 
 def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +229,9 @@ def _check_elements(causal_set: CausalSet, *elements: int) -> None:
 def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalSet:
     """Build a causal set from any generating set of relations.
 
-    Transitive closure is applied by interval passes until one adds
-    nothing; that last pass is handed to the causal set, which then
-    validates without another product.  A cycle (including ``a < a``), a
+    Transitive closure is applied by one interval pass, whose last
+    sweep's histogram is handed to the causal set, which then validates
+    without another product.  A cycle (including ``a < a``), a
     relation that is not a pair of integers, or a non-integer element
     count raises ``ValueError``; an element count whose pass would exceed
     ``MAX_ARRAY_BYTES`` raises
@@ -235,17 +262,17 @@ def from_relations(n_elements: int, pairs: Iterable[tuple[int, int]]) -> CausalS
         raise ValueError(f"relation ({a}, {b}) out of range 0..{n_elements - 1}")
     closure = np.zeros((n_elements, n_elements), dtype=bool)
     closure[flat[::2], flat[1::2]] = True
-    del pairs, ends, flat  # the closure passes hold none of the relation copies
-    grew = True
-    while grew:
-        grew, histogram = _interval_pass(closure)
-    return CausalSet(closure, _closed_histogram=histogram)
+    del pairs, ends, flat  # the closure holds none of the relation copies
+    return CausalSet(closure, _closed_histogram=_interval_pass(closure)[1])
 
 
 def load_causal_set(source: str | Path) -> CausalSet:
     """Load ``{"n": N, "relations": [[a, b], ...]}`` from a JSON file."""
     with open(source, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:  # the decoder recurses once per nested list or object
+            raise ValueError("causal set input is nested too deeply to decode") from None
     try:
         n_elements = data["n"]
         relations = data["relations"]

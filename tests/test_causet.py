@@ -64,6 +64,46 @@ def reference_closure(matrix):
         closure = extended
 
 
+def reference_interval_pass(order):
+    """One Jacobi pass of ``B = P @ P``, the interval pass the sweep replaced:
+    adds one closure step to ``order`` in place and returns whether it
+    added a pair, with the histogram of ``B`` over the related pairs."""
+    n_elements = order.shape[0]
+    causet._check_pass_budget(n_elements)
+    operand = order.astype(np.float32)
+    histogram = np.zeros(n_elements + 1, dtype=np.int64)  # a cycle can reach N
+    grew = False
+    for start in range(0, n_elements, causet._BLOCK_ROWS):
+        rows = order[start : start + causet._BLOCK_ROWS]  # a view: the update writes through
+        between = operand[start : start + causet._BLOCK_ROWS] @ operand
+        histogram += np.bincount(between[rows].astype(np.int64), minlength=n_elements + 1)
+        added = (between > 0) & ~rows
+        if added.any():
+            grew = True
+            rows |= added
+    return grew, histogram
+
+
+def reference_closing_pass(order):
+    """Jacobi passes until one adds nothing, as ``from_relations`` ran them;
+    the result has the interval pass's ``(grew, histogram)`` form."""
+    grew, (added, histogram) = False, reference_interval_pass(order)
+    while added:
+        grew, (added, histogram) = True, reference_interval_pass(order)
+    return grew, histogram
+
+
+def outcome(build):
+    """What a build gives: the order, histogram and abundances, or the
+    type and message of the exception it raised."""
+    try:
+        built = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    abundances = interval_abundances(built, built.size + 1)
+    return built.precedes.tobytes(), built._histogram.tolist(), abundances
+
+
 def reference_layer(causal_set, x, i):
     predecessors = np.flatnonzero(causal_set.precedes[:, x])
     return frozenset(
@@ -181,18 +221,25 @@ class TestBlockedIntervalPass:
 
     def test_budget_bounds_the_measured_peak(self, monkeypatch):
         # a chain relates every later element: the densest blocks, the
-        # most block temporaries; the caller's matrix is counted too
+        # most block temporaries; the caller's matrix is counted too.
+        # Built from its links, every block grows and closes itself.
         n = 300
         monkeypatch.setattr(causet, "_BLOCK_ROWS", 64)
         monkeypatch.setattr(causet, "MAX_ARRAY_BYTES", 6 * n * n + 16 * 64 * n)
         order = np.triu(np.ones((n, n), dtype=bool), 1)
+        chain_links = [(k, k + 1) for k in range(n - 1)]
         tracemalloc.start()
         try:
             CausalSet(order)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            grown = from_relations(n, chain_links)
+            grown_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert (grown.precedes == order).all()
         assert n * n + peak <= causet.MAX_ARRAY_BYTES
+        assert grown_peak <= causet.MAX_ARRAY_BYTES
         with pytest.raises(FeasibilityError, match="301 elements"):
             from_relations(n + 1, [])
 
@@ -204,6 +251,76 @@ class TestBlockedIntervalPass:
     def test_histogram_is_read_only(self):
         with pytest.raises(ValueError):
             diamond()._histogram[0] = 7
+
+
+@st.composite
+def generating_sets(draw):
+    """A random relation on up to 40 elements: an upper-triangular draw
+    under a random relabelling, with or without one back-edge."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    density = draw(st.sampled_from([0.02, 0.08, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    relabel = rng.permutation(n)
+    generated = np.triu(rng.random((n, n)) < density, 1)[np.ix_(relabel, relabel)]
+    related = np.argwhere(reference_closure(generated))
+    if len(related) and draw(st.booleans()):  # a back-edge closes a cycle
+        a, b = related[draw(st.integers(min_value=0, max_value=len(related) - 1))]
+        generated[b, a] = True
+    return generated
+
+
+class TestSweepMatchesJacobiPasses:
+    """The sweep gives what repeated Jacobi passes gave, in fewer products."""
+
+    @given(generating_sets(), st.sampled_from([3, 7, 16, 512]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_outcome_as_the_reference_passes(self, generated, block):
+        n = generated.shape[0]
+        pairs = np.argwhere(generated).tolist()
+        closed = reference_closure(generated)
+        builds = (
+            lambda: from_relations(n, pairs),
+            lambda: CausalSet(generated),
+            lambda: CausalSet(closed),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(causet, "_BLOCK_ROWS", block)
+            got = [outcome(build) for build in builds]
+            patch.setattr(causet, "_interval_pass", reference_closing_pass)
+            want = [outcome(build) for build in builds]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["chain", "diamond"])
+    def test_natural_labels_close_in_one_sweep(self, kind, monkeypatch):
+        if kind == "chain":
+            n, pairs = 400, [(k, k + 1) for k in range(399)]
+        else:  # a sprinkle is labelled in time order
+            config = DiamondConfig(dimension=2, density=300.0, half_height=1.0, seed=3)
+            order = sprinkle(config).causal_set.precedes
+            as_float = order.astype(np.float64)
+            n, pairs = order.shape[0], np.argwhere(order & (as_float @ as_float == 0))
+        sizes, passes, sweep, interval_pass = [], [], causet._sweep, causet._interval_pass
+
+        def counted_sweep(order, operand, size):
+            sizes.append(size)
+            return sweep(order, operand, size)
+
+        def counted_pass(order):
+            passes.append(order.shape)
+            return interval_pass(order)
+
+        monkeypatch.setattr(causet, "_sweep", counted_sweep)
+        monkeypatch.setattr(causet, "_interval_pass", counted_pass)
+        built = from_relations(n, pairs)
+        assert passes == [(n, n)] and len(sizes) == 2  # the closing and the confirming sweep
+        assert n > 2 * sizes[0]  # three blocks or more
+        CausalSet(built.precedes)
+        assert len(sizes) == 3  # a closed order takes one sweep
+        generated = np.zeros((n, n), dtype=bool)
+        generated[tuple(np.transpose(pairs))] = True
+        histogram = reference_closing_pass(generated)[1]
+        assert (built.precedes == generated).all()
+        assert built._histogram.tolist() == histogram.tolist()
 
 
 class TestConstruction:

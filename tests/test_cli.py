@@ -438,6 +438,18 @@ class TestAction:
         assert errors.getvalue().startswith("error: ")
         assert "Traceback" not in errors.getvalue()
 
+    def test_deeply_nested_json_exits_2(self, tmp_path):
+        # the JSON decoder recurses once per nested list, past the interpreter's limit
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "relations": ' + "[" * depth + "]" * depth + "}")
+        code, text, errors = invoke_with_errors(
+            ["action", "--input", str(path), "--dim", "2", "--ell", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert errors == "error: causal set input is nested too deeply to decode\n"
+
     def test_overflowing_dimension_exit_2(self, tmp_path):
         path = tmp_path / "diamond.json"
         path.write_text(json.dumps(DIAMOND_JSON))
