@@ -145,7 +145,7 @@ def _check_pass_budget(n_elements: int) -> None:
     operand) and one block of at most ``_BLOCK_ROWS`` rows with its
     temporaries, at most 16 bytes per block entry (the float32 products,
     the related entries as float32 and as int64).  A closure in
-    :func:`from_relations` holds no more (a block that grows, at most 9).
+    :func:`from_relations` holds no more: a block that grows, 9 at most.
     """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
     if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
