@@ -19,14 +19,14 @@ Every all-pairs count comes from one *interval pass*, the product
 ``[a, b]`` counts the elements strictly between ``a < b``.  A float32 sum
 of 0/1 products is exact below 2**24, far above any element count the
 memory budget admits.  The pass sweeps the blocks from last to first,
-closing each in place, until a sweep adds nothing; that sweep gives the
+updating each in place, until a sweep adds nothing; that sweep gives the
 interval histogram (entry ``k`` counts the related pairs with ``k``
-elements strictly between them).  A causal set runs the pass once when
-it is built (:func:`from_relations` hands over the pass that closed its
+elements strictly between them).  A causal set runs one sweep when it is
+built (:func:`from_relations` hands over the pass that closed its
 relation) and keeps the histogram, from which :func:`interval_abundances`
 reads ``N_i`` without another product.  The pass holds the ``N x N``
-bool order, one ``N x N`` float32 copy and one block of
-``_BLOCK_ROWS x N`` products with its temporaries; counted with the
+bool order, one ``N x N`` float32 copy and the products of one block of
+at most ``_BLOCK_ROWS`` rows with their temporaries; counted with the
 caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
 raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
 allocates (before anything is, in :func:`from_relations`).
@@ -80,8 +80,8 @@ class CausalSet:
     ``precedes`` is an ``N x N`` boolean matrix that must be
     irreflexive, antisymmetric, and transitively closed; ``coords``
     (when present) holds one row of spacetime coordinates per element,
-    time first.  Building one runs the interval pass, which must add
-    nothing, and keeps its histogram for :func:`interval_abundances`.
+    time first.  Building one runs one sweep of the interval pass, which
+    must add nothing, and keeps its histogram for :func:`interval_abundances`.
     Equality and hashing are by identity: arrays have no single truth
     value to compare by.
     """
@@ -102,7 +102,7 @@ class CausalSet:
             raise ValueError("relation has a cycle (some a < b < a): not a poset")
         histogram = _closed_histogram
         if histogram is None:
-            grew, histogram = _interval_pass(matrix)
+            grew, histogram = _interval_pass(matrix, close=False)
             if grew:
                 raise ValueError("relation must be transitively closed")
         matrix.setflags(write=False)
@@ -145,7 +145,8 @@ def _check_pass_budget(n_elements: int) -> None:
     operand) and one block of at most ``_BLOCK_ROWS`` rows with its
     temporaries, at most 16 bytes per block entry (the float32 products,
     the related entries as float32 and as int64).  A closure in
-    :func:`from_relations` holds no more: a block that grows, 9 at most.
+    :func:`from_relations` holds no more: a growing block's products (4
+    bytes per entry) and its ``b x b`` squares with their mask (9 more).
     """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
     if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
@@ -155,31 +156,33 @@ def _check_pass_budget(n_elements: int) -> None:
         )
 
 
-def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
+def _interval_pass(order: np.ndarray, close: bool = True) -> tuple[bool, np.ndarray | None]:
     """Close the bool matrix ``order`` in place by sweeps of ``B = P @ P``.
 
-    Returns whether any sweep added a pair, and the histogram of ``B``
-    over the related pairs from the sweep that added none: entry ``k``
-    counts the pairs ``a < b`` with ``k`` elements strictly between them.
-    ``B`` is formed in float32 (exact below 2**24) in blocks of at most
-    ``_BLOCK_ROWS`` rows and about 256 KiB of products.
+    Returns whether it added a pair, and the histogram of ``B`` over the
+    related pairs of the closed order: entry ``k`` counts the pairs
+    ``a < b`` with ``k`` elements strictly between them.  With
+    ``close=False`` it stops at the first pair it adds, with no histogram.
+    Blocks hold a quarter of the rows, or ``2**16`` products if more (one
+    block up to N = 256), and at most ``_BLOCK_ROWS`` rows.
     """
     _check_pass_budget(len(order))
-    operand = order.astype(np.float32)
-    size = min(_BLOCK_ROWS, max(64, 2**16 // max(len(order), 1)))
-    grew = False
-    while (histogram := _sweep(order, operand, size)) is None:
-        grew = True
-    return grew, histogram
+    related, operand = np.count_nonzero(order), order.astype(np.float32)
+    size = min(_BLOCK_ROWS, max(2**16 // max(len(order), 1), -(-len(order) // 4)))
+    histogram = _sweep(order, operand, size, close)
+    while histogram is None and close:
+        histogram = _sweep(order, operand, size, close)
+    return np.count_nonzero(order) > related, histogram
 
 
-def _sweep(order: np.ndarray, operand: np.ndarray, size: int) -> np.ndarray | None:
+def _sweep(order: np.ndarray, operand: np.ndarray, size: int, close: bool) -> np.ndarray | None:
     """One sweep over blocks of ``size`` rows: the histogram, or ``None`` if it grew.
 
-    The blocks run from last to first, each multiplying its rows by an
-    ``operand`` whose later rows are closed; one that grows squares its
-    ``b x b`` part until nothing changes, then adds that part times its
-    rows.  One sweep thus closes a relation whose pairs all have ``a < b``.
+    The blocks run from last to first, each multiplying its rows by the
+    ``operand`` that holds the rows updated so far.  A block that grows
+    closes itself if it is the whole order or relates its elements only
+    to later ones: it squares its ``b x b`` part until nothing changes,
+    then adds that part times its rows.  Any other block takes one step.
     """
     histogram = np.zeros(len(order) + 1, dtype=np.int64)  # a cycle can reach N
     for start in reversed(range(0, len(order), size)):
@@ -187,16 +190,21 @@ def _sweep(order: np.ndarray, operand: np.ndarray, size: int) -> np.ndarray | No
         rows = order[block]  # a view: the updates write through
         between = operand[block] @ operand
         if not _extend(rows, between):
-            if histogram is not None:  # void once a block has grown
+            if histogram is not None:
                 histogram += np.bincount(between[rows].astype(np.int64), minlength=histogram.size)
             continue
-        histogram = between = None
-        inner = rows[:, block]  # the block's own b x b part, a view
-        square = inner.astype(np.float32)
-        while _extend(inner, square @ square):
+        if not close:
+            return None
+        histogram, inner = None, rows[:, block]  # void once a block has grown; a view
+        if inner.shape == rows.shape or _relates_later(rows, start):
             square = inner.astype(np.float32)
-        operand[block] = rows
-        _extend(rows, operand[block, block] @ operand[block])
+            while _extend(inner, between := square @ square):
+                square = inner.astype(np.float32)
+            if inner.shape == rows.shape:  # one block: its last square is closed
+                del square  # the histogram's temporaries stay within 16 bytes per entry
+                return np.bincount(between[rows].astype(np.int64), minlength=len(order) + 1)
+            operand[block] = rows
+            _extend(rows, operand[block, block] @ operand[block])
         operand[block] = rows
     return histogram
 
@@ -206,6 +214,12 @@ def _extend(rows: np.ndarray, products: np.ndarray) -> bool:
     related = np.count_nonzero(rows)
     rows |= products > 0
     return np.count_nonzero(rows) > related
+
+
+def _relates_later(rows: np.ndarray, start: int) -> bool:
+    """Whether each row ``start + i`` relates only elements after it."""
+    first = rows.argmax(axis=1)  # the first related column; 0 for an empty row
+    return not (rows.any(axis=1) & (first <= np.arange(start, start + len(rows)))).any()
 
 
 def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:

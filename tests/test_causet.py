@@ -84,13 +84,36 @@ def reference_interval_pass(order):
     return grew, histogram
 
 
-def reference_closing_pass(order):
+def reference_closing_pass(order, close=True):
     """Jacobi passes until one adds nothing, as ``from_relations`` ran them;
     the result has the interval pass's ``(grew, histogram)`` form."""
     grew, (added, histogram) = False, reference_interval_pass(order)
     while added:
         grew, (added, histogram) = True, reference_interval_pass(order)
     return grew, histogram
+
+
+def reference_pass_count(n, pairs):
+    """How many Jacobi passes ``from_relations`` ran on ``pairs``."""
+    generated = np.zeros((n, n), dtype=bool)
+    generated[tuple(np.transpose(pairs))] = True
+    passes = 1
+    while reference_interval_pass(generated)[0]:
+        passes += 1
+    return passes
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The shapes of the interval pass's products, in the order taken."""
+    shapes, extend = [], causet._extend
+
+    def counted(rows, products):
+        shapes.append(products.shape)
+        return extend(rows, products)
+
+    monkeypatch.setattr(causet, "_extend", counted)
+    return shapes
 
 
 def outcome(build):
@@ -205,9 +228,9 @@ class TestBlockedIntervalPass:
         interval_pass = causet._interval_pass
         pairs = np.argwhere(diamond().precedes)  # closed: every related pair
 
-        def counted(order):
+        def counted(order, close=True):
             calls.append(order.shape)
-            return interval_pass(order)
+            return interval_pass(order, close)
 
         monkeypatch.setattr(causet, "_interval_pass", counted)
         full = from_relations(4, pairs)
@@ -301,13 +324,13 @@ class TestSweepMatchesJacobiPasses:
             n, pairs = order.shape[0], np.argwhere(order & (as_float @ as_float == 0))
         sizes, passes, sweep, interval_pass = [], [], causet._sweep, causet._interval_pass
 
-        def counted_sweep(order, operand, size):
+        def counted_sweep(order, operand, size, close):
             sizes.append(size)
-            return sweep(order, operand, size)
+            return sweep(order, operand, size, close)
 
-        def counted_pass(order):
+        def counted_pass(order, close=True):
             passes.append(order.shape)
-            return interval_pass(order)
+            return interval_pass(order, close)
 
         monkeypatch.setattr(causet, "_sweep", counted_sweep)
         monkeypatch.setattr(causet, "_interval_pass", counted_pass)
@@ -321,6 +344,38 @@ class TestSweepMatchesJacobiPasses:
         histogram = reference_closing_pass(generated)[1]
         assert (built.precedes == generated).all()
         assert built._histogram.tolist() == histogram.tolist()
+
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_one_block_takes_the_products_of_the_passes(self, relabel, products):
+        n = 200  # up to N = 256 the order is one block: its squares are the passes
+        labels = np.random.default_rng(5).permutation(n) if relabel else np.arange(n)
+        pairs = [(labels[k], labels[k + 1]) for k in range(n - 1)]
+        passes = reference_pass_count(n, pairs)
+        from_relations(n, np.array(pairs).tolist())
+        assert products == [(n, n)] * passes and passes == 9
+
+    def test_relabelled_blocks_take_one_product_per_sweep(self, products, monkeypatch):
+        n, sweeps, sweep = 400, [], causet._sweep  # three blocks
+        labels = np.random.default_rng(5).permutation(n)
+        pairs = np.array([(labels[k], labels[k + 1]) for k in range(n - 1)]).tolist()
+
+        def counted_sweep(*args):
+            sweeps.append(args[2])
+            return sweep(*args)
+
+        monkeypatch.setattr(causet, "_sweep", counted_sweep)
+        from_relations(n, pairs)
+        assert {columns for _, columns in products} == {n}  # no block squared itself
+        assert len(products) == 3 * len(sweeps) <= 3 * reference_pass_count(n, pairs)
+
+    def test_validation_stops_at_the_first_pair_it_would_add(self, products):
+        n = 400
+        order = np.triu(np.ones((n, n), dtype=bool), 1)
+        order[0, n - 1] = False  # implied through 1, in the block swept last
+        with pytest.raises(ValueError, match="transitively closed"):
+            CausalSet(order)
+        assert len(products) == 3 and {columns for _, columns in products} == {n}
 
 
 class TestConstruction:
