@@ -21,11 +21,11 @@ of 0/1 products is exact below 2**24, far above any element count the
 memory budget admits.  The pass sweeps the blocks from last to first,
 updating each in place, until a sweep adds nothing; that sweep gives the
 interval histogram (entry ``k`` counts the related pairs with ``k``
-elements strictly between them).  A causal set runs one sweep when it is
-built (:func:`from_relations` hands over the pass that closed its
-relation) and keeps the histogram, from which :func:`interval_abundances`
-reads ``N_i`` without another product.  The pass holds the ``N x N``
-bool order, one ``N x N`` float32 copy and the products of one block of
+elements strictly between them).  A block multiplies only the columns
+its rows and their successors reach.  Validation is one sweep that counts
+nothing; :func:`from_relations` hands its histogram to the causal set, or
+the first :func:`interval_abundances` read takes one sweep and keeps it.
+The pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and the products of one block of
 at most ``_BLOCK_ROWS`` rows with their temporaries; counted with the
 caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
 raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
@@ -81,14 +81,15 @@ class CausalSet:
     irreflexive, antisymmetric, and transitively closed; ``coords``
     (when present) holds one row of spacetime coordinates per element,
     time first.  Building one runs one sweep of the interval pass, which
-    must add nothing, and keeps its histogram for :func:`interval_abundances`.
+    must add nothing; the interval histogram is taken on the first read
+    of :func:`interval_abundances` and kept.
     Equality and hashing are by identity: arrays have no single truth
     value to compare by.
     """
 
     precedes: np.ndarray
     coords: np.ndarray | None = None
-    _histogram: np.ndarray = dataclass_field(init=False, repr=False)
+    _histogram: np.ndarray | None = dataclass_field(init=False, repr=False)
     # the histogram of a pass that added nothing, handed over by from_relations
     _closed_histogram: InitVar[np.ndarray | None] = None
 
@@ -100,21 +101,19 @@ class CausalSet:
             raise ValueError("relation has a cycle (some a < a): not a poset")
         if (matrix & matrix.T).any():
             raise ValueError("relation has a cycle (some a < b < a): not a poset")
-        histogram = _closed_histogram
-        if histogram is None:
-            grew, histogram = _interval_pass(matrix, close=False)
-            if grew:
-                raise ValueError("relation must be transitively closed")
-        matrix.setflags(write=False)
-        histogram.setflags(write=False)
-        object.__setattr__(self, "precedes", matrix)
-        object.__setattr__(self, "_histogram", histogram)
         if self.coords is not None:
             coords = np.array(self.coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != matrix.shape[0]:
                 raise ValueError("coords must have one row per element")
             coords.setflags(write=False)
             object.__setattr__(self, "coords", coords)
+        if _closed_histogram is not None:
+            _closed_histogram.setflags(write=False)
+        elif _interval_pass(matrix, close=False)[0]:
+            raise ValueError("relation must be transitively closed")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "precedes", matrix)
+        object.__setattr__(self, "_histogram", _closed_histogram)
 
     @property
     def size(self) -> int:
@@ -146,7 +145,7 @@ def _check_pass_budget(n_elements: int) -> None:
     temporaries, at most 16 bytes per block entry (the float32 products,
     the related entries as float32 and as int64).  A closure in
     :func:`from_relations` holds no more: a growing block's products (4
-    bytes per entry) and its ``b x b`` squares with their mask (9 more).
+    bytes per entry) and its ``b x b`` squares with their two masks (10 more).
     """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
     if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
@@ -162,64 +161,86 @@ def _interval_pass(order: np.ndarray, close: bool = True) -> tuple[bool, np.ndar
     Returns whether it added a pair, and the histogram of ``B`` over the
     related pairs of the closed order: entry ``k`` counts the pairs
     ``a < b`` with ``k`` elements strictly between them.  With
-    ``close=False`` it stops at the first pair it adds, with no histogram.
-    Blocks hold a quarter of the rows, or ``2**16`` products if more (one
-    block up to N = 256), and at most ``_BLOCK_ROWS`` rows.
+    ``close=False`` it stops at the first pair it adds, with no histogram;
+    a closed order is not written.  Blocks hold a quarter of the rows, or
+    ``2**16`` products if more (one block up to N = 256, which multiplies
+    every column), and at most ``_BLOCK_ROWS`` rows.
     """
     _check_pass_budget(len(order))
     related, operand = np.count_nonzero(order), order.astype(np.float32)
     size = min(_BLOCK_ROWS, max(2**16 // max(len(order), 1), -(-len(order) // 4)))
-    histogram = _sweep(order, operand, size, close)
-    while histogram is None and close:
-        histogram = _sweep(order, operand, size, close)
+    first = _first_columns(order) if size < len(order) else None
+    histogram = np.zeros(len(order) + 1, dtype=np.int64) if close else None  # a cycle can reach N
+    while _sweep(order, operand, size, first, histogram) and close:
+        histogram[:] = 0
     return np.count_nonzero(order) > related, histogram
 
 
-def _sweep(order: np.ndarray, operand: np.ndarray, size: int, close: bool) -> np.ndarray | None:
-    """One sweep over blocks of ``size`` rows: the histogram, or ``None`` if it grew.
+def _sweep(order: np.ndarray, operand: np.ndarray, size: int, first: np.ndarray | None,
+           histogram: np.ndarray | None) -> bool:
+    """One sweep over blocks of ``size`` rows; whether it left the order open.
 
     The blocks run from last to first, each multiplying its rows by the
-    ``operand`` that holds the rows updated so far.  A block that grows
+    ``operand`` that holds the rows updated so far, over the columns its
+    rows and their successors reach (:func:`_reach`; ``first`` follows the
+    rows).  A sweep that adds nothing adds its products to ``histogram``;
+    with none it returns at the first pair it adds.  A block that grows
     closes itself if it is the whole order or relates its elements only
     to later ones: it squares its ``b x b`` part until nothing changes,
     then adds that part times its rows.  Any other block takes one step.
     """
-    histogram = np.zeros(len(order) + 1, dtype=np.int64)  # a cycle can reach N
+    grown = False
     for start in reversed(range(0, len(order), size)):
         block = slice(start, start + size)
         rows = order[block]  # a view: the updates write through
-        between = operand[block] @ operand
-        if not _extend(rows, between):
-            if histogram is not None:
-                histogram += np.bincount(between[rows].astype(np.int64), minlength=histogram.size)
+        span = slice(None) if first is None else _reach(first, block)  # rows relate none before
+        between = operand[block, span] @ operand[span, span]
+        if not _extend(rows[:, span], between):
+            if histogram is not None and not grown:  # void once a block has grown
+                between = between[rows[:, span]].astype(np.int64)  # the counts replace the products
+                histogram += np.bincount(between, minlength=len(histogram))
             continue
-        if not close:
-            return None
-        histogram, inner = None, rows[:, block]  # void once a block has grown; a view
-        if inner.shape == rows.shape or _relates_later(rows, start):
+        if histogram is None:
+            return True
+        grown, inner = True, rows[:, block]  # a view
+        if first is not None:
+            first[block] = _first_columns(rows)
+        # one block, or each row relates only later elements
+        if first is None or (first[block] > np.arange(start, start + len(rows))).all():
             square = inner.astype(np.float32)
             while _extend(inner, between := square @ square):
                 square = inner.astype(np.float32)
-            if inner.shape == rows.shape:  # one block: its last square is closed
+            if first is None:  # one block: its last square is closed
                 del square  # the histogram's temporaries stay within 16 bytes per entry
-                return np.bincount(between[rows].astype(np.int64), minlength=len(order) + 1)
+                histogram[:] = np.bincount(between[rows].astype(np.int64), minlength=len(histogram))
+                return False
             operand[block] = rows
-            _extend(rows, operand[block, block] @ operand[block])
+            span = slice(first[block].min(), None)  # these steps leave ``first`` as it is
+            _extend(rows[:, span], operand[block, block] @ operand[block, span])
         operand[block] = rows
-    return histogram
+    return grown
+
+
+def _first_columns(rows: np.ndarray) -> np.ndarray:
+    """Each row's first related column (``N`` if none), read up to it."""
+    first = rows.argmax(axis=1)
+    first[~rows[np.arange(len(rows)), first]] = rows.shape[1]
+    return first
+
+
+def _reach(first: np.ndarray, block: slice) -> slice:
+    """The columns the rows ``block`` and their successors relate, in O(N): from the least
+    ``first`` column of the rows or of the successors, which lie from the rows' on."""
+    low = first[block].min()
+    return slice(first[low:].min(initial=low), None)
 
 
 def _extend(rows: np.ndarray, products: np.ndarray) -> bool:
-    """Add to ``rows`` in place the pairs with positive ``products``; whether any was new."""
-    related = np.count_nonzero(rows)
-    rows |= products > 0
-    return np.count_nonzero(rows) > related
-
-
-def _relates_later(rows: np.ndarray, start: int) -> bool:
-    """Whether each row ``start + i`` relates only elements after it."""
-    first = rows.argmax(axis=1)  # the first related column; 0 for an empty row
-    return not (rows.any(axis=1) & (first <= np.arange(start, start + len(rows)))).any()
+    """Add to ``rows`` the pairs with positive ``products``; whether any was new (else no write)."""
+    grown = (products > 0) | rows
+    if added := np.count_nonzero(grown) > np.count_nonzero(rows):
+        rows[...] = grown
+    return added
 
 
 def _past(causal_set: CausalSet, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,9 +407,14 @@ def _box(constants: coefficients.OperatorConstants, length: float, value: float,
 
 def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     """``N_1 .. N_max_i`` where ``N_i`` counts related pairs with
-    closed-interval size ``i + 1``, read off the histogram the causal set
-    kept from its interval pass (no product is taken)."""
+    closed-interval size ``i + 1``, read off the interval histogram: the
+    one :func:`from_relations` handed over, or one sweep on the first
+    read of a validated set, kept for later reads."""
     max_i = _check_int(max_i, "max_i", 1)
+    if causal_set._histogram is None:  # validated, not yet read: one sweep, kept
+        histogram = _interval_pass(causal_set.precedes)[1]  # closed: nothing is written
+        histogram.setflags(write=False)
+        object.__setattr__(causal_set, "_histogram", histogram)
     counts = causal_set._histogram[:max_i].tolist()  # N_i counts between == i - 1
     return tuple(counts + [0] * (max_i - len(counts)))
 

@@ -12,9 +12,10 @@ validated on every build.
 Randomness is counter-based: a sprinkle is a pure function of its
 config (including the seed), and :func:`estimate_box` derives one
 independent child stream per trial, so trials are reproducible and
-order-independent.  A trial builds and validates the whole sprinkle but
-evaluates the field only where the box operator reads it: on the tip and
-its first ``floor(d/2) + 2`` layers.
+order-independent.  A trial builds and validates the whole sprinkle (a
+validation that counts no intervals) but evaluates the field only where
+the box operator reads it: on the tip and its first ``floor(d/2) + 2``
+layers.
 """
 
 from __future__ import annotations
@@ -132,23 +133,28 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
     (lightlike separations count as related; exact duplicates are
     incomparable).  The order is filled in row blocks of
     ``_ORDER_BLOCK_ROWS``, so the float64 temporaries span one block, not
-    all ``N x N`` pairs; every entry takes the same float operations.
+    all ``N x N`` pairs; every entry takes the same float operations.  A
+    block skips the leading columns no later in time than its earliest
+    row (by running maximum, so for any input order): ``dt <= 0`` there.
     """
     coords = np.asarray(coords, dtype=float)
     time, spatial = coords[:, 0], coords[:, 1:]
-    order = np.empty((len(coords), len(coords)), dtype=bool)
+    latest = np.maximum.accumulate(time)  # sorted: NaN, from the first NaN on, sorts last
+    order = np.zeros((len(coords), len(coords)), dtype=bool)
     for start in range(0, len(coords), _ORDER_BLOCK_ROWS):
         rows = slice(start, start + _ORDER_BLOCK_ROWS)
+        # fmin passes over NaN rows, which relate nothing; an all-NaN block skips all
+        skip = int(np.searchsorted(latest, np.fmin.reduce(time[rows]), side="right"))
         if spatial.shape[1] < 8:
             # the squares added left to right, as np.linalg.norm adds fewer than 8
-            dx = np.zeros((len(time[rows]), len(coords)))
+            dx = np.zeros((len(time[rows]), len(coords) - skip))
             for axis in spatial.T:
-                dx += np.square(axis[None, :] - axis[rows, None])
+                dx += np.square(axis[None, skip:] - axis[rows, None])
             np.sqrt(dx, out=dx)
         else:  # numpy adds 8 or more values pairwise, in another order
-            dx = np.linalg.norm(spatial[None, :, :] - spatial[rows, None, :], axis=2)
-        dt = time[None, :] - time[rows, None]
-        order[rows] = (dt >= dx) & (dt > 0)
+            dx = np.linalg.norm(spatial[None, skip:, :] - spatial[rows, None, :], axis=2)
+        dt = time[None, skip:] - time[rows, None]
+        order[rows, skip:] = (dt >= dx) & (dt > 0)
     return order
 
 

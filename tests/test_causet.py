@@ -21,7 +21,7 @@ from causetbox.causet import (
     load_causal_set,
 )
 from causetbox.coefficients import FeasibilityError
-from causetbox.sprinkling import DiamondConfig, sprinkle
+from causetbox.sprinkling import DiamondConfig, causal_matrix, sprinkle
 
 
 def chain(n):
@@ -223,24 +223,34 @@ class TestBlockedIntervalPass:
                     built, max_i
                 )
 
-    def test_one_pass_per_closed_build_and_none_for_abundances(self, monkeypatch):
+    def test_one_pass_per_build_and_per_first_read_of_a_validated_set(self, monkeypatch):
         calls = []
         interval_pass = causet._interval_pass
         pairs = np.argwhere(diamond().precedes)  # closed: every related pair
 
         def counted(order, close=True):
-            calls.append(order.shape)
+            calls.append(close)
             return interval_pass(order, close)
 
         monkeypatch.setattr(causet, "_interval_pass", counted)
         full = from_relations(4, pairs)
-        assert calls == [(4, 4)]
+        assert calls == [True]
         validated = CausalSet(full.precedes)
-        assert calls == [(4, 4)] * 2
-        for built in (full, validated):
-            assert interval_abundances(built, 3) == (4, 0, 1)
-            assert gravitational_action(built, 2, 1.0).abundances == (4, 0, 1)
-        assert len(calls) == 2
+        assert calls == [True, False]  # validation: one pass, no histogram
+        for built, passes in ((full, [True, False]), (validated, [True, False, True])):
+            for _ in range(2):  # a validated set's first read takes a pass, later ones none
+                assert interval_abundances(built, 3) == (4, 0, 1)
+                assert gravitational_action(built, 2, 1.0).abundances == (4, 0, 1)
+                assert calls == passes
+
+    def test_bad_coords_are_refused_before_the_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(causet, "_interval_pass", lambda *args: calls.append(args))
+        order = np.triu(np.ones((5, 5), dtype=bool), 1)
+        for coords in (np.zeros((4, 2)), np.zeros(5), np.zeros((5, 2, 1))):
+            with pytest.raises(ValueError, match="one row per element"):
+                CausalSet(order, coords=coords)
+        assert calls == []
 
     def test_budget_bounds_the_measured_peak(self, monkeypatch):
         # a chain relates every later element: the densest blocks, the
@@ -253,15 +263,19 @@ class TestBlockedIntervalPass:
         chain_links = [(k, k + 1) for k in range(n - 1)]
         tracemalloc.start()
         try:
-            CausalSet(order)
+            validated = CausalSet(order)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            interval_abundances(validated, 1)  # sweeps the kept order, writing nothing
+            read_peak = tracemalloc.get_traced_memory()[1]
+            del validated
             tracemalloc.reset_peak()
             grown = from_relations(n, chain_links)
             grown_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (grown.precedes == order).all()
-        assert n * n + peak <= causet.MAX_ARRAY_BYTES
+        assert n * n + max(peak, read_peak) <= causet.MAX_ARRAY_BYTES
         assert grown_peak <= causet.MAX_ARRAY_BYTES
         with pytest.raises(FeasibilityError, match="301 elements"):
             from_relations(n + 1, [])
@@ -292,8 +306,40 @@ def generating_sets(draw):
     return generated
 
 
+@st.composite
+def sprinkled_links(draw):
+    """The links of an order sprinkled into a box, 400 to 700 elements in
+    three or four blocks, labelled in time order or relabelled."""
+    n = draw(st.integers(min_value=400, max_value=700))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    coords = rng.uniform(-1.0, 1.0, size=(n, draw(st.sampled_from([2, 3, 4]))))
+    order = causal_matrix(coords[np.argsort(coords[:, 0])])
+    as_float = order.astype(np.float32)
+    links = order & (as_float @ as_float == 0)
+    if draw(st.booleans()):
+        relabel = rng.permutation(n)
+        links = links[np.ix_(relabel, relabel)]
+    return links
+
+
 class TestSweepMatchesJacobiPasses:
     """The sweep gives what repeated Jacobi passes gave, in fewer products."""
+
+    @given(sprinkled_links())
+    @settings(max_examples=8, deadline=None)
+    def test_large_link_lists_match_the_reference_passes(self, links):
+        n = len(links)
+        closed = links.copy()
+        histogram = reference_closing_pass(closed)[1].tolist()
+        built = from_relations(n, np.argwhere(links).tolist())
+        validated = CausalSet(closed)
+        assert (built.precedes == closed).all()
+        for causal_set in (built, validated):
+            interval_abundances(causal_set, 1)  # a validated set takes its histogram here
+            assert causal_set._histogram.tolist() == histogram
+        if (links != closed).any():
+            with pytest.raises(ValueError, match="transitively closed"):
+                CausalSet(links)
 
     @given(generating_sets(), st.sampled_from([3, 7, 16, 512]))
     @settings(max_examples=150, deadline=None)
@@ -324,9 +370,9 @@ class TestSweepMatchesJacobiPasses:
             n, pairs = order.shape[0], np.argwhere(order & (as_float @ as_float == 0))
         sizes, passes, sweep, interval_pass = [], [], causet._sweep, causet._interval_pass
 
-        def counted_sweep(order, operand, size, close):
-            sizes.append(size)
-            return sweep(order, operand, size, close)
+        def counted_sweep(*args):
+            sizes.append(args[2])
+            return sweep(*args)
 
         def counted_pass(order, close=True):
             passes.append(order.shape)
@@ -353,7 +399,7 @@ class TestSweepMatchesJacobiPasses:
         pairs = [(labels[k], labels[k + 1]) for k in range(n - 1)]
         passes = reference_pass_count(n, pairs)
         from_relations(n, np.array(pairs).tolist())
-        assert products == [(n, n)] * passes and passes == 9
+        assert [rows for rows, _ in products] == [n] * passes and passes == 9
 
     def test_relabelled_blocks_take_one_product_per_sweep(self, products, monkeypatch):
         n, sweeps, sweep = 400, [], causet._sweep  # three blocks
@@ -365,8 +411,7 @@ class TestSweepMatchesJacobiPasses:
             return sweep(*args)
 
         monkeypatch.setattr(causet, "_sweep", counted_sweep)
-        from_relations(n, pairs)
-        assert {columns for _, columns in products} == {n}  # no block squared itself
+        from_relations(n, pairs)  # a block that squared itself would take more products
         assert len(products) == 3 * len(sweeps) <= 3 * reference_pass_count(n, pairs)
 
     def test_validation_stops_at_the_first_pair_it_would_add(self, products):
@@ -375,7 +420,9 @@ class TestSweepMatchesJacobiPasses:
         order[0, n - 1] = False  # implied through 1, in the block swept last
         with pytest.raises(ValueError, match="transitively closed"):
             CausalSet(order)
-        assert len(products) == 3 and {columns for _, columns in products} == {n}
+        # blocks of 163 rows from last to first, each over the columns after its first row
+        assert [rows for rows, _ in products] == [74, 163, 163]
+        assert [columns for _, columns in products] == [n - 1 - s for s in (326, 163, 0)]
 
 
 class TestConstruction:

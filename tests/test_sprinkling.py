@@ -99,6 +99,28 @@ class TestCausalMatrix:
                     coords = np.round(coords * 4) / 4
                 assert np.array_equal(causal_matrix(coords), reference_causal_matrix(coords))
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_time_sorted_and_non_finite_times(self, block, monkeypatch):
+        # a block skips the columns no later than its rows: on sorted times,
+        # equal ones straddle the block boundaries; NaN and infinite times
+        # are compared as the reference compares them
+        monkeypatch.setattr(sprinkling, "_ORDER_BLOCK_ROWS", block)
+        for dimension in range(2, 13):
+            rng = np.random.default_rng([block, dimension, 1])
+            for size in (4 * block - 1, 4 * block + 1, int(rng.integers(2, 91))):
+                # a coarse grid: equal times, lightlike pairs and duplicates
+                coords = np.round(rng.uniform(-1.0, 1.0, size=(size, dimension)) * 2) / 2
+                coords = coords[np.lexsort(coords.T[::-1])]
+                cases = [coords]
+                for value in (np.nan, np.inf, -np.inf):
+                    cases.append(coords.copy())
+                    cases[-1][rng.integers(0, size, size=2), 0] = value
+                cases.append(coords.copy())
+                cases[-1][:, 0] = np.nan
+                with np.errstate(invalid="ignore"):  # inf - inf in both forms
+                    for case in cases:
+                        assert np.array_equal(causal_matrix(case), reference_causal_matrix(case))
+
     @pytest.mark.parametrize("dimension", [9, 12])
     def test_peak_memory_within_the_budget_charge(self, dimension):
         # _check_budget charges 8 (d + 1) bytes per ordered pair; the whole
