@@ -25,10 +25,11 @@ elements strictly between them).  A block multiplies only the columns
 its rows and their successors reach.  Validation is one sweep that counts
 nothing; :func:`from_relations` hands its histogram to the causal set, or
 the first :func:`interval_abundances` read takes one sweep and keeps it.
-The pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and the products of one block of
-at most ``_BLOCK_ROWS`` rows with their temporaries; counted with the
-caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
-raises :class:`~causetbox.coefficients.FeasibilityError` before the pass
+The pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and
+the products of one block of at most ``_BLOCK_ROWS`` rows with their
+temporaries; counted with the caller's matrix, a size whose peak would
+exceed ``MAX_ARRAY_BYTES`` raises
+:class:`~causetbox.coefficients.FeasibilityError` before the pass
 allocates (before anything is, in :func:`from_relations`).
 
 A layer below ``x`` reads only the column ``P[below] @ P[:, x]``, in the
