@@ -186,7 +186,7 @@ def _cmd_sprinkle(args: argparse.Namespace) -> _Answer:
         seed=args.seed,
     )
     spec = sprinkling.parse_field_spec(args.field)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the check below reports it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # reported below
         mean, std_error = sprinkling.estimate_box(config, spec, args.trials)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise _CliError(

@@ -12,10 +12,10 @@ validated on every build.
 Randomness is counter-based: a sprinkle is a pure function of its
 config (including the seed), and :func:`estimate_box` derives one
 independent child stream per trial, so trials are reproducible and
-order-independent.  A trial builds and validates the whole sprinkle (a
-validation that counts no intervals) but evaluates the field only where
-the box operator reads it: on the tip and its first ``floor(d/2) + 2``
-layers.
+order-independent.  A trial samples the points as :func:`sprinkle` does
+but builds no order and validates nothing: it scans back from the tip for
+the points within its first ``floor(d/2) + 2`` layers, where the box
+operator reads the field, and evaluates the field there only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients  # memoized constants, looked up where a tracer patches them
-from .causet import MAX_ARRAY_BYTES, CausalSet, _box, _past, _sum_layers
+from .causet import MAX_ARRAY_BYTES, CausalSet, _box, _sum_layers
 from .coefficients import FeasibilityError, _check_int, num_layers
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 MAX_SPRINKLE_STEPS = 10**14
 
 #: Steps charged to each trial for its fixed cost, about 0.2 ms: sampling,
-#: the validated causal set, the field and the coefficients.
+#: the order or the tip's near set, the field and the coefficients.
 _TRIAL_STEPS = 10**7
 
 #: Rows of the order built at once by :func:`causal_matrix`.  A block of a
@@ -145,17 +145,23 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
         rows = slice(start, start + _ORDER_BLOCK_ROWS)
         # fmin passes over NaN rows, which relate nothing; an all-NaN block skips all
         skip = int(np.searchsorted(latest, np.fmin.reduce(time[rows]), side="right"))
-        if spatial.shape[1] < 8:
-            # the squares added left to right, as np.linalg.norm adds fewer than 8
-            dx = np.zeros((len(time[rows]), len(coords) - skip))
-            for axis in spatial.T:
-                dx += np.square(axis[None, skip:] - axis[rows, None])
-            np.sqrt(dx, out=dx)
-        else:  # numpy adds 8 or more values pairwise, in another order
-            dx = np.linalg.norm(spatial[None, skip:, :] - spatial[rows, None, :], axis=2)
-        dt = time[None, skip:] - time[rows, None]
-        order[rows, skip:] = (dt >= dx) & (dt > 0)
+        order[rows, skip:] = _precedes(time, spatial, rows, slice(skip, None))
     return order
+
+
+def _precedes(time: np.ndarray, spatial: np.ndarray, rows, cols) -> np.ndarray:
+    """The entries ``rows x cols`` of :func:`causal_matrix`, each by the
+    same float operations whatever the block's shape."""
+    dt = time[None, cols] - time[rows, None]
+    if spatial.shape[1] < 8:
+        # the squares added left to right, as np.linalg.norm adds fewer than 8
+        dx = np.zeros(dt.shape)
+        for axis in spatial.T:
+            dx += np.square(axis[None, cols] - axis[rows, None])
+        np.sqrt(dx, out=dx)
+    else:  # numpy adds 8 or more values pairwise, in another order
+        dx = np.linalg.norm(spatial[None, cols, :] - spatial[rows, None, :], axis=2)
+    return (dt >= dx) & (dt > 0)
 
 
 def _sample_diamond(
@@ -179,17 +185,22 @@ def _sample_diamond(
     return np.concatenate(accepted, axis=0)
 
 
-def _sprinkle_with_rng(config: DiamondConfig, rng: np.random.Generator) -> SprinkleResult:
+def _sample_coords(config: DiamondConfig, rng: np.random.Generator) -> np.ndarray:
+    """A Poisson count of diamond points in canonical time-then-space order,
+    then the top tip as the last row."""
     volume = diamond_volume(config.dimension, config.half_height)
     count = int(rng.poisson(config.density * volume))
     points = _sample_diamond(rng, config.dimension, config.half_height, count)
-    order = np.lexsort(points.T[::-1])
-    points = points[order]  # canonical time-then-space ordering
+    points = points[np.lexsort(points.T[::-1])]
     tip = np.zeros((1, config.dimension))
     tip[0, 0] = config.half_height
-    coords = np.concatenate([points, tip], axis=0)
+    return np.concatenate([points, tip], axis=0)
+
+
+def _sprinkle_with_rng(config: DiamondConfig, rng: np.random.Generator) -> SprinkleResult:
+    coords = _sample_coords(config, rng)
     causal_set = CausalSet(precedes=causal_matrix(coords), coords=coords)
-    return SprinkleResult(causal_set=causal_set, eval_index=count)
+    return SprinkleResult(causal_set=causal_set, eval_index=len(coords) - 1)
 
 
 def sprinkle(config: DiamondConfig) -> SprinkleResult:
@@ -208,22 +219,22 @@ def field_values(spec: FieldSpec, causal_set: CausalSet) -> np.ndarray:
     whole-column array powers can round differently in the last bit, and
     Python float powers raise where numpy gives ``inf`` (``0.0 ** -1``).
     """
-    return _field_at(spec, causal_set, np.arange(causal_set.size))
+    return _field_at(spec, causal_set.coords, np.arange(causal_set.size))
 
 
-def _field_at(spec: FieldSpec, causal_set: CausalSet, elements: np.ndarray) -> np.ndarray:
-    """:func:`field_values` at the given element indices only."""
+def _field_at(spec: FieldSpec, coords: np.ndarray | None, elements: np.ndarray) -> np.ndarray:
+    """:func:`field_values` at the given rows of ``coords`` only."""
     if isinstance(spec, ConstantField):
         return np.full(len(elements), float(spec.value))
-    if causal_set.coords is None:
+    if coords is None:
         raise ValueError("coordinate fields need a causal set with coordinates")
     exponents = spec.exponents
-    width = causal_set.coords.shape[1]
+    width = coords.shape[1]
     if len(exponents) > width:
         raise ValueError(
             f"monomial uses {len(exponents)} coordinates but the point has {width}"
         )
-    rows = causal_set.coords[elements, : len(exponents)]
+    rows = coords[elements, : len(exponents)]
     return np.array(
         [math.prod(v**e for v, e in zip(row, exponents)) for row in rows], dtype=float
     )
@@ -252,9 +263,10 @@ def parse_field_spec(text: str) -> FieldSpec:
 def _check_budget(config: DiamondConfig, trials: int) -> None:
     """Refuse an estimate too large in memory or in work, from its arguments.
 
-    ``N`` is the expected Poisson count plus the tip.  Memory: a trial's
-    peak is in :func:`causal_matrix`: the bool order, one byte per ordered
-    pair, plus the float64 temporaries of one block of
+    ``N`` is the expected Poisson count plus the tip.  The charge is for
+    :func:`sprinkle`, which builds and validates the whole order.  Memory:
+    its peak is in :func:`causal_matrix`: the bool order, one byte per
+    ordered pair, plus the float64 temporaries of one block of
     ``_ORDER_BLOCK_ROWS`` rows.  Below d = 9 a block holds the running sum
     of squared spatial differences and one axis's difference and square;
     from d = 9 ``np.linalg.norm`` holds every spatial difference and its
@@ -267,6 +279,9 @@ def _check_budget(config: DiamondConfig, trials: int) -> None:
     its fixed cost, ``(d + 1) N^2`` steps for the order matrix and
     ``N^3`` for the interval pass that validates it, and the trials
     together may take ``MAX_SPRINKLE_STEPS``.
+
+    An :func:`estimate_box` trial, which builds no order, is overcharged:
+    without the ``N^3`` term the 25 ps step would not bound its entries.
     """
     elements = config.density * diamond_volume(config.dimension, config.half_height)
     pairs = (elements + 1) * (elements + 1)  # a float product: inf, never OverflowError
@@ -286,17 +301,41 @@ def _check_budget(config: DiamondConfig, trials: int) -> None:
         )
 
 
+def _near_past(coords: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_past`` of the last row on ``causal_matrix(coords)``, cut at
+    ``between < layers``, for rows sorted by time, without the order.
+
+    Predecessors are scanned from the latest in blocks of
+    ``_ORDER_BLOCK_ROWS``.  A row that precedes ``layers`` near points
+    found so far is far; every other row, so every near one, is counted
+    exactly over all later predecessors: the answer holds even where
+    rounding leaves the float order intransitive.
+    """
+    time, spatial = coords[:, 0], coords[:, 1:]
+    below = np.flatnonzero(_precedes(time, spatial, slice(None), [len(coords) - 1]))
+    near, between = below[:0], np.zeros(0, dtype=np.int64)
+    for stop in range(below.size, 0, -_ORDER_BLOCK_ROWS):
+        start = max(stop - _ORDER_BLOCK_ROWS, 0)
+        block = below[start:stop]
+        rows = block[_precedes(time, spatial, block, near).sum(axis=1) < layers]
+        counts = _precedes(time, spatial, rows, below[start:]).sum(axis=1)
+        keep = counts < layers
+        near, between = np.concatenate([rows[keep], near]), np.concatenate([counts[keep], between])
+    return near, between
+
+
 def _box_at_tip(config: DiamondConfig, field_spec: FieldSpec, rng: np.random.Generator) -> float:
-    """One trial: the box operator at the tip of a validated sprinkle, with the
-    field evaluated only where the operator reads it (the tip and its layers)."""
-    result = _sprinkle_with_rng(config, rng)
+    """One trial: the box operator at the tip of a fresh sample, from the
+    tip's first ``floor(d/2) + 2`` layers only (:func:`_near_past`), with
+    the field evaluated there and on the tip.  No order is built and
+    nothing is validated; the value is bit-identical to
+    :func:`~causetbox.causet.box_operator` on the sprinkle."""
+    coords = _sample_coords(config, rng)
     layers = num_layers(config.dimension)
-    below, between = _past(result.causal_set, result.eval_index)
-    near = between < layers
-    elements = np.append(below[near], result.eval_index)
-    values = _field_at(field_spec, result.causal_set, elements)
+    near, between = _near_past(coords, layers)
+    values = _field_at(field_spec, coords, np.append(near, len(coords) - 1))
     constants = coefficients.operator_constants(config.dimension)
-    sums = _sum_layers(between[near], values[:-1], layers)
+    sums = _sum_layers(between, values[:-1], layers)
     return _box(constants, config.length_scale, values[-1], sums)
 
 

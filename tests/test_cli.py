@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import time
+import warnings
 
 import pytest
 
@@ -575,6 +576,20 @@ class TestSprinkle:
         assert text == ""
         assert_one_error_line(errors)
         assert "not finite" in errors
+
+    @pytest.mark.parametrize("field", ["mono:-400", "const:1e308"])
+    def test_overflowing_field_exit_2_without_a_warning(self, field):
+        # t**-400 and alpha * 1e308 overflow to inf in numpy scalars
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, errors = invoke_with_errors(
+                ["sprinkle", "--dim", "2", "--density", "10", "--trials", "2", "--field", field]
+            )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "not finite" in errors
+        assert caught == []
 
     def test_unknown_field_spec_exit_2(self):
         code, _ = invoke(

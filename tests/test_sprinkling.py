@@ -3,13 +3,14 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from causetbox.causet import MAX_ARRAY_BYTES, CausalSet, box_operator, from_relations
-from causetbox import sprinkling
+from causetbox import causet, sprinkling
 from causetbox.coefficients import FeasibilityError
 from causetbox.sprinkling import (
     ConstantField,
@@ -422,14 +423,18 @@ class TestEstimateBox:
             estimate_box(config, ConstantField(1.0), 10**8)
 
     @pytest.mark.parametrize(
-        "dimension, density", [(2, 60.0), (3, 40.0), (4, 40.0), (5, 25.0), (6, 25.0), (8, 20.0)]
+        "dimension, density",
+        [(2, 60.0), (2, 400.0), (3, 40.0), (4, 40.0), (4, 200.0), (5, 25.0), (6, 25.0),
+         (8, 20.0), (9, 20.0), (10, 20.0)],
     )
     @pytest.mark.parametrize(
         "field", ["const:1", "const:nan", "mono:2", "mono:0,2", "mono:1,1", "mono:0,-1", "mono:3,1"]
     )
     def test_trial_equals_the_box_operator_on_the_whole_sprinkle(self, dimension, density, field):
-        # a trial evaluates the field on the tip and its first layers only;
-        # the operator on the sprinkle evaluates it everywhere
+        # a trial scans for the tip's first layers and evaluates the field
+        # there only; the operator on the sprinkle builds and validates the
+        # whole order and evaluates the field everywhere.  (2, 400) and
+        # (4, 200) scan many blocks; d >= 9 takes np.linalg.norm.
         spec = parse_field_spec(field)
         for seed in range(8):
             config = DiamondConfig(dimension, density, 1.0, seed)
@@ -446,6 +451,30 @@ class TestEstimateBox:
                 )
             assert np.array_equal(got, want, equal_nan=True), (seed, got, want)
             assert np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_near_past_equals_the_tip_column_of_the_raw_order(self, lattice):
+        # _past on causal_matrix(coords), never validated: a lattice of
+        # steps 0.1, 0.3, 1/3 and 0.7 is rich in lightlike pairs whose
+        # rounding can leave the float order intransitive, and random
+        # points in a box need not all precede the last row
+        rng = np.random.default_rng(3 + lattice)
+        intransitive = 0
+        for case in range(120):
+            d, n, layers = int(rng.integers(2, 11)), int(rng.integers(1, 300)), int(rng.integers(1, 8))
+            if lattice:
+                coords = rng.integers(-6, 7, size=(n, d)) * (0.1, 0.3, 1 / 3, 0.7)[case % 4]
+            else:
+                coords = rng.uniform(-1.0, 1.0, size=(n, d))
+            coords = coords[np.lexsort(coords.T[::-1])]
+            order = causal_matrix(coords)
+            closure = order.astype(np.float32) @ order.astype(np.float32) > 0
+            intransitive += bool((closure & ~order).any())
+            below, between = causet._past(SimpleNamespace(precedes=order), n - 1)
+            near, counts = sprinkling._near_past(coords, layers)
+            assert np.array_equal(near, below[between < layers]), (case, d, n, layers)
+            assert np.array_equal(counts, between[between < layers]), (case, d, n, layers)
+        assert (intransitive > 0) == lattice
 
     @pytest.mark.parametrize(
         "config, spec, trials, expected",

@@ -4,8 +4,9 @@
 binds some arguments by parameter name; a rename would silently turn a
 per-layer metric into 0 ms.  Building the tracer, without installing it,
 resolves every target; installing it around one listing shows that the
-CLI's call reaches a wrapped target, and around one sprinkle that every
-trial is timed and its elements counted.
+CLI's call reaches a wrapped target, around one sprinkle that its order
+is timed and its elements counted, and around one estimate that no trial
+builds an order.
 """
 
 import contextlib
@@ -13,8 +14,6 @@ import importlib.util
 import inspect
 import io
 from pathlib import Path
-
-import numpy as np
 
 from causetbox import causet, cli, sprinkling
 
@@ -40,39 +39,47 @@ def test_counter_arguments_keep_their_names():
     assert "causal_set" in box and "x" in box
 
 
-def test_the_traced_listing_is_timed_and_counted():
+def traced(call):
+    """Run ``call()`` under an installed tracer; return its result and the tracer."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.run(["enumerate", "--chords", "4", "--points", "12", "--list"])
+            result = call()
     finally:
         tracer.uninstall()
     tracer.flush_counts()
+    return result, tracer
+
+
+def test_the_traced_listing_is_timed_and_counted():
+    argv = ["enumerate", "--chords", "4", "--points", "12", "--list"]
+    code, tracer = traced(lambda: cli.run(argv))
     assert code == 0
     assert [span[0] for span in tracer.spans].count("diagrams.enumerate") == 1
     assert tracer.counts["diagrams.enumerated"] == 3840
 
 
-def test_the_traced_sprinkle_times_and_counts_every_trial():
-    trials, seed = 3, 4
-    tracer = load_tracing().Tracer()
-    tracer.install()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.run(["sprinkle", "--dim", "2", "--density", "30", "--trials",
-                            str(trials), "--seed", str(seed)])
-    finally:
-        tracer.uninstall()
-    tracer.flush_counts()
+def test_the_traced_sprinkle_times_and_counts_its_order():
+    config = sprinkling.DiamondConfig(2, 30.0, 1.0, 4)
+    result, tracer = traced(lambda: sprinkling.sprinkle(config))
+    names = [span[0] for span in tracer.spans if span[3] == -1]  # outermost
+    assert names == ["sprinkling.sprinkle"]
+    names = [span[0] for span in tracer.spans]
+    for name in ("sprinkling.causal_matrix", "causet.validate"):
+        assert names.count(name) == 1, name
+    assert tracer.counts["sprinkling.elements"] == result.causal_set.size
+
+
+def test_the_traced_estimate_builds_no_order():
+    # a trial reads the tip's near set without building or validating the
+    # order, so its sampling and scan time fall under the estimate's span
+    trials = 3
+    argv = ["sprinkle", "--dim", "2", "--density", "30", "--trials", str(trials), "--seed", "4"]
+    code, tracer = traced(lambda: cli.run(argv))
     assert code == 0
     names = [span[0] for span in tracer.spans]
-    for name in ("sprinkling.sprinkle", "sprinkling.causal_matrix", "causet.validate"):
-        assert names.count(name) == trials, name
-    config = sprinkling.DiamondConfig(2, 30.0, 1.0, seed)
-    sizes = []
-    for trial in range(trials):  # the child streams estimate_box derives
-        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        rng = np.random.Generator(np.random.Philox(sequence))
-        sizes.append(sprinkling._sprinkle_with_rng(config, rng).causal_set.size)
-    assert tracer.counts["sprinkling.elements"] == sum(sizes)
+    assert names.count("sprinkling.estimate_box") == 1
+    assert names.count("coefficients.operator_constants") == trials
+    for name in ("causet.validate", "sprinkling.causal_matrix", "sprinkling.sprinkle"):
+        assert name not in names, name
