@@ -15,7 +15,11 @@ independent child stream per trial, so trials are reproducible and
 order-independent.  A trial samples the points as :func:`sprinkle` does
 but builds no order and validates nothing: it scans back from the tip for
 the points within its first ``floor(d/2) + 2`` layers, where the box
-operator reads the field, and evaluates the field there only.
+operator reads the field, and evaluates the field there only.  The scan
+counts a predecessor only if the near points found so far leave it
+possibly near, a few array calls in all.  Both budgets charge what a
+request does: a trial its scan, a sprinkle its order, and each the points
+rejection sampling draws.
 """
 
 from __future__ import annotations
@@ -51,6 +55,16 @@ MAX_SPRINKLE_STEPS = 10**14
 #: Steps charged to each trial for its fixed cost, about 0.2 ms: sampling,
 #: the order or the tip's near set, the field and the coefficients.
 _TRIAL_STEPS = 10**7
+
+#: Steps charged per value drawn by rejection sampling, about 120 ns: above
+#: the slowest rate measured per drawn value once a batch exceeds its
+#: 16-point minimum (110 ns at d = 6; 20-80 ns elsewhere for d = 2..14).
+_DRAW_STEPS = 4800
+
+#: Steps charged per float64 value of a scan entry, ``d + 1`` per entry,
+#: about 8 ns: above the slowest rate measured on blocks of 64 rows
+#: (6.2 ns at d = 10 and N = 20,000; 1.3-3.2 ns below d = 9).
+_SCAN_STEPS = 320
 
 #: Rows of the order built at once by :func:`causal_matrix`.  A block of a
 #: few hundred KB is reused from the heap trial after trial, where whole
@@ -151,17 +165,35 @@ def causal_matrix(coords: np.ndarray) -> np.ndarray:
 
 def _precedes(time: np.ndarray, spatial: np.ndarray, rows, cols) -> np.ndarray:
     """The entries ``rows x cols`` of :func:`causal_matrix`, each by the
-    same float operations whatever the block's shape."""
-    dt = time[None, cols] - time[rows, None]
+    same float operations whatever the block's shape.  When the rows
+    outnumber the columns they are computed ``cols x rows`` and returned
+    transposed: numpy's inner loop then runs over the longer side."""
+    row_time, col_time = time[rows], time[cols]
+    earlier, later = (slice(None), None), (None, slice(None))
+    transposed = len(row_time) > len(col_time)
+    if transposed:
+        earlier, later = later, earlier
+    dt = col_time[later] - row_time[earlier]
     if spatial.shape[1] < 8:
-        # the squares added left to right, as np.linalg.norm adds fewer than 8
-        dx = np.zeros(dt.shape)
+        # the squares added left to right, as np.linalg.norm adds fewer than 8,
+        # in place: a fresh temporary per pass costs more than the pass
+        dx = term = None
         for axis in spatial.T:
-            dx += np.square(axis[None, cols] - axis[rows, None])
-        np.sqrt(dx, out=dx)
+            term = np.subtract(axis[cols][later], axis[rows][earlier], out=term)
+            np.square(term, out=term)
+            if dx is None:  # 0 + the first square is that square
+                dx, term = term, None
+            else:
+                dx += term
+        dx = np.zeros(dt.shape) if dx is None else np.sqrt(dx, out=dx)
     else:  # numpy adds 8 or more values pairwise, in another order
-        dx = np.linalg.norm(spatial[None, cols, :] - spatial[rows, None, :], axis=2)
-    return (dt >= dx) & (dt > 0)
+        # np.linalg.norm's own path, sqrt(add.reduce(x * x)), squaring in place
+        squares = np.subtract(spatial[cols][later], spatial[rows][earlier])
+        dx = np.add.reduce(np.square(squares, out=squares), axis=2)
+        np.sqrt(dx, out=dx)
+    related = dt >= dx
+    related &= dt > 0
+    return related.T if transposed else related
 
 
 def _sample_diamond(
@@ -176,7 +208,8 @@ def _sample_diamond(
         points = rng.uniform(
             -half_height, half_height, size=(batch, dimension)
         )
-        radii = np.linalg.norm(points[:, 1:], axis=1)
+        # np.linalg.norm(axis=1) by its own path, without its Python wrapper
+        radii = np.sqrt(np.add.reduce(np.square(points[:, 1:]), axis=1))
         keep = points[radii <= half_height - np.abs(points[:, 0])]
         accepted.append(keep[:remaining])
         remaining -= len(keep[:remaining])
@@ -260,39 +293,56 @@ def parse_field_spec(text: str) -> FieldSpec:
     )
 
 
-def _check_budget(config: DiamondConfig, trials: int) -> None:
-    """Refuse an estimate too large in memory or in work, from its arguments.
+def _check_budget(config: DiamondConfig, trials: int, *, order: bool = True) -> None:
+    """Refuse a request too large in memory or in work, from its arguments.
 
-    ``N`` is the expected Poisson count plus the tip.  The charge is for
-    :func:`sprinkle`, which builds and validates the whole order.  Memory:
-    its peak is in :func:`causal_matrix`: the bool order, one byte per
-    ordered pair, plus the float64 temporaries of one block of
-    ``_ORDER_BLOCK_ROWS`` rows.  Below d = 9 a block holds the running sum
-    of squared spatial differences and one axis's difference and square;
-    from d = 9 ``np.linalg.norm`` holds every spatial difference and its
-    square, ``2 (d - 1) + 2`` values per pair of the block.  The budget
-    charges ``d + 1`` float64 values per pair and one float64 per trial,
-    which covers both once N exceeds two blocks (N > 128).  A smaller
-    sprinkle can hold up to twice its charge, but under 3 MB for d <= 20.
+    ``N`` is the expected Poisson count plus the tip.  With ``order``, the
+    charge is for :func:`sprinkle`, which builds and validates the whole
+    order; without, for an :func:`estimate_box` trial, which scans for the
+    tip's near set (:func:`_near_past`).
 
-    Work, checked after memory: each trial is charged ``_TRIAL_STEPS`` for
-    its fixed cost, ``(d + 1) N^2`` steps for the order matrix and
-    ``N^3`` for the interval pass that validates it, and the trials
-    together may take ``MAX_SPRINKLE_STEPS``.
+    Memory.  A sprinkle's peak is in :func:`causal_matrix`: the bool order,
+    one byte per ordered pair, plus the temporaries of one block of
+    ``_ORDER_BLOCK_ROWS`` rows, at most ``d + 1`` float64 values and three
+    bools per pair of the block.  It is charged ``d + 1`` float64 values
+    per pair, which covers both once N exceeds two blocks (N > 128); a
+    smaller sprinkle can hold up to twice its charge, but under 3 MB for
+    d <= 20.  A trial is charged its coordinates, ``d`` float64 values per
+    point, plus one block of ``_ORDER_BLOCK_ROWS x N`` entries at ``d + 2``
+    float64 values each: no ``_precedes`` call of the scan holds more, and
+    the sampling batches hold less.  Each request adds one float64 per
+    trial.
 
-    An :func:`estimate_box` trial, which builds no order, is overcharged:
-    without the ``N^3`` term the 25 ps step would not bound its entries.
+    Work, checked after memory, in steps of about 25 ps, the cost of one
+    float32 product of the interval pass.  Each trial is charged
+    ``_TRIAL_STEPS`` for its fixed cost and ``_DRAW_STEPS`` per value drawn
+    by rejection sampling: ``d`` per point of the bounding box, which holds
+    ``2^d / diamond_volume(d, 1)`` points per point of the diamond.  A
+    sprinkle adds ``(d + 1) N^2`` steps for the order matrix and ``N^3``
+    for the interval pass that validates it.  A trial adds ``_SCAN_STEPS``
+    per value of its scan's worst case, ``(d + 1) N^2``: up to ``N^2 / 2``
+    entries counted and as many filtered.  The trials together may take
+    ``MAX_SPRINKLE_STEPS``.
     """
-    elements = config.density * diamond_volume(config.dimension, config.half_height)
-    pairs = (elements + 1) * (elements + 1)  # a float product: inf, never OverflowError
-    needed = 8 * (config.dimension + 1) * pairs + 8 * trials
+    d = config.dimension
+    elements = config.density * diamond_volume(d, config.half_height)
+    points = elements + 1
+    pairs = points * points  # a float product: inf, never OverflowError
+    # no points draw nothing, even where the box-to-diamond ratio overflows
+    draws = elements * 2.0**d / diamond_volume(d, 1.0) * d
+    if order:
+        held, work = 8 * (d + 1) * pairs, (d + 1 + points) * pairs
+    else:
+        held = 8 * (d + (d + 2) * _ORDER_BLOCK_ROWS) * points
+        work = _SCAN_STEPS * (d + 1) * pairs
+    needed = held + 8 * trials
     if not needed <= MAX_ARRAY_BYTES:
         raise FeasibilityError(
             f"sprinkle too large: about {elements:.4g} elements per trial and "
             f"{trials} trials need about {needed:.3g} bytes "
             f"(guard: <= {MAX_ARRAY_BYTES} bytes)"
         )
-    steps = trials * (_TRIAL_STEPS + (config.dimension + 1 + elements + 1) * pairs)
+    steps = trials * (_TRIAL_STEPS + _DRAW_STEPS * draws + work)
     if not steps <= MAX_SPRINKLE_STEPS:
         raise FeasibilityError(
             f"sprinkle too long: about {elements:.4g} elements per trial and "
@@ -305,23 +355,36 @@ def _near_past(coords: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray]
     """``_past`` of the last row on ``causal_matrix(coords)``, cut at
     ``between < layers``, for rows sorted by time, without the order.
 
-    Predecessors are scanned from the latest in blocks of
-    ``_ORDER_BLOCK_ROWS``.  A row that precedes ``layers`` near points
-    found so far is far; every other row, so every near one, is counted
-    exactly over all later predecessors: the answer holds even where
-    rounding leaves the float order intransitive.
+    Candidates, at first every predecessor, are counted from the latest,
+    ``_ORDER_BLOCK_ROWS`` at a time, each exactly over every later
+    predecessor; those counted below ``layers`` are near.  After a block
+    that adds near points, each earlier candidate's relations to the new
+    ones are added to its tally, and a candidate that precedes ``layers``
+    near points is far and never counted.  So a trial's scan is four
+    ``_precedes`` calls when the survivors of the first filter fit one
+    block, and no call holds more than ``_ORDER_BLOCK_ROWS x N`` entries.
+    Every near row is counted with ``causal_matrix``'s float operations:
+    the answer holds even where rounding leaves the float order
+    intransitive.
     """
     time, spatial = coords[:, 0], coords[:, 1:]
     below = np.flatnonzero(_precedes(time, spatial, slice(None), [len(coords) - 1]))
-    near, between = below[:0], np.zeros(0, dtype=np.int64)
-    for stop in range(below.size, 0, -_ORDER_BLOCK_ROWS):
-        start = max(stop - _ORDER_BLOCK_ROWS, 0)
-        block = below[start:stop]
-        rows = block[_precedes(time, spatial, block, near).sum(axis=1) < layers]
-        counts = _precedes(time, spatial, rows, below[start:]).sum(axis=1)
+    candidates, tally = below, np.zeros(below.size, dtype=np.int64)
+    near, between = [below[:0]], [tally[:0]]
+    while candidates.size:
+        block = candidates[-_ORDER_BLOCK_ROWS:]
+        candidates, tally = candidates[: -block.size], tally[: -block.size]
+        later = below[np.searchsorted(below, block[0]) :]
+        counts = _precedes(time, spatial, block, later).sum(axis=1)
         keep = counts < layers
-        near, between = np.concatenate([rows[keep], near]), np.concatenate([counts[keep], between])
-    return near, between
+        found = block[keep]
+        near.append(found)
+        between.append(counts[keep])
+        if found.size and candidates.size:
+            tally = tally + _precedes(time, spatial, candidates, found).sum(axis=1)
+            possible = tally < layers
+            candidates, tally = candidates[possible], tally[possible]
+    return np.concatenate(near[::-1]), np.concatenate(between[::-1])
 
 
 def _box_at_tip(config: DiamondConfig, field_spec: FieldSpec, rng: np.random.Generator) -> float:
@@ -353,7 +416,7 @@ def estimate_box(
     :class:`~causetbox.coefficients.FeasibilityError` before any is allocated.
     """
     trials = _check_int(trials, "trials", 1)
-    _check_budget(config, trials)
+    _check_budget(config, trials, order=False)
     values = np.empty(trials)
     for trial in range(trials):
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))

@@ -632,6 +632,28 @@ class TestSprinkle:
         assert_one_error_line(errors)
         assert "elements per trial" in errors and "trials" in errors
 
+    @pytest.mark.parametrize("dim, density", [("40", "2e10"), ("24", "30000")])
+    def test_rejection_sampling_over_the_work_bound_exits_3_at_once(self, dim, density):
+        # about 9 points per trial, drawn from about 10^22 and 10^11 points
+        # of the bounding box
+        start = time.perf_counter()
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", dim, "--density", density, "--trials", "1"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "sprinkle too long: about 9." in errors
+
+    def test_dense_estimate_is_charged_its_scan_not_an_order(self):
+        # N about 2 * 10^4: the whole order would need about 9.6 GB
+        code, text = invoke(
+            ["sprinkle", "--dim", "2", "--density", "10000", "--trials", "100"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(text)["trials"] == 100
+
     @pytest.mark.parametrize(
         "dim,ell", [("2", "1e-300"), ("4", "1e-80")]
     )

@@ -77,6 +77,26 @@ def reference_causal_matrix(coords):
     return (dt >= dx) & (dt > 0)
 
 
+def record_scans(monkeypatch):
+    """Record each :func:`sprinkling._near_past` call: its row count and, in
+    order, the rows and columns of each ``_precedes`` call."""
+    scans = []
+    precedes, near_past = sprinkling._precedes, sprinkling._near_past
+
+    def recording_precedes(time, spatial, rows, cols):
+        index = np.arange(len(time))
+        scans[-1].calls.append((index[rows], index[cols]))
+        return precedes(time, spatial, rows, cols)
+
+    def recording_near_past(coords, layers):
+        scans.append(SimpleNamespace(size=len(coords), calls=[]))
+        return near_past(coords, layers)
+
+    monkeypatch.setattr(sprinkling, "_precedes", recording_precedes)
+    monkeypatch.setattr(sprinkling, "_near_past", recording_near_past)
+    return scans
+
+
 class TestCausalMatrix:
     @pytest.mark.parametrize("dimension", range(2, 13))
     def test_equals_the_norm_form(self, dimension):
@@ -362,7 +382,7 @@ class TestEstimateBox:
             estimate_box(config, ConstantField(1.0), 0)
 
     @pytest.mark.parametrize(
-        "density, trials", [(1e9, 1), (10.0, 10**12), (1e308, 1), (1e4, 1)]
+        "density, trials", [(1e9, 1), (10.0, 10**12), (1e308, 1), (1e6, 1)]
     )
     def test_budget_refuses_before_allocating(self, density, trials, monkeypatch):
         def refuse(*args, **kwargs):
@@ -422,6 +442,65 @@ class TestEstimateBox:
         with pytest.raises(FeasibilityError, match="100000000 trials take"):
             estimate_box(config, ConstantField(1.0), 10**8)
 
+    def test_a_trial_is_charged_its_scan_not_the_order(self):
+        # density 10^4, N about 2 * 10^4: the whole order would need about
+        # 9.6 GB, but a trial holds its coordinates and one 64-row block,
+        # and its scan is charged 320 (d + 1) N^2 steps: 250 trials fit
+        # the work bound and 300 do not
+        dense = DiamondConfig(2, 1e4, 1.0, 1)
+        with pytest.raises(FeasibilityError, match="sprinkle too large"):
+            _check_budget(dense, 1)
+        _check_budget(dense, 250, order=False)
+        with pytest.raises(FeasibilityError, match="300 trials take about"):
+            _check_budget(dense, 300, order=False)
+
+    def test_trial_byte_bound(self):
+        # 8 (d + 64 (d + 2)) bytes per point: at d = 2, 1.04 million points
+        # fit the byte bound (the work bound then refuses them) and 1.045
+        # million do not
+        per_point = 8 * (2 + 4 * sprinkling._ORDER_BLOCK_ROWS)
+        assert per_point * 1_040_000 < MAX_ARRAY_BYTES < per_point * 1_045_000
+        with pytest.raises(FeasibilityError, match="sprinkle too long"):
+            _check_budget(DiamondConfig(2, 1_039_999 / 2, 1.0, 1), 1, order=False)
+        with pytest.raises(FeasibilityError, match="sprinkle too large"):
+            _check_budget(DiamondConfig(2, 1_044_999 / 2, 1.0, 1), 1, order=False)
+
+    @pytest.mark.parametrize("order", [True, False])
+    def test_rejection_draws_are_charged(self, order):
+        # at d = 18 the bounding box holds about 1.7 * 10^7 points per point
+        # of the diamond, each of 18 drawn values at 4800 steps: density
+        # 4000 (N about 63) fits and 5000 does not, by its draws alone
+        _check_budget(DiamondConfig(18, 4000.0, 1.0, 1), 1, order=order)
+        with pytest.raises(FeasibilityError, match="sprinkle too long: about 78.32 elements"):
+            _check_budget(DiamondConfig(18, 5000.0, 1.0, 1), 1, order=order)
+
+    def test_draws_are_refused_before_sampling(self, monkeypatch):
+        # about 9 points per trial, but about 10^22 drawn to find them
+        def refuse(*args):
+            raise AssertionError("sampled points for an over-budget request")
+
+        monkeypatch.setattr(sprinkling, "_sample_diamond", refuse)
+        config = DiamondConfig(40, 2e10, 1.0, 1)
+        with pytest.raises(FeasibilityError, match="sprinkle too long: about 9.152 elements"):
+            sprinkle(config)
+        with pytest.raises(FeasibilityError, match="sprinkle too long: about 9.152 elements"):
+            estimate_box(config, ConstantField(1.0), 1)
+
+    @pytest.mark.parametrize("dimension, density", [(2, 2000.0), (4, 1000.0), (9, 300.0)])
+    def test_a_trial_peaks_within_its_byte_charge(self, dimension, density):
+        config = DiamondConfig(dimension, density, 1.0, 1)
+        points = density * diamond_volume(dimension, 1.0) + 1
+        charge = 8 * (dimension + (dimension + 2) * sprinkling._ORDER_BLOCK_ROWS) * points
+        for trial in range(2):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial)))
+            tracemalloc.start()
+            try:
+                sprinkling._box_at_tip(config, MonomialField((2,)), rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < charge, (trial, peak, charge)
+
     @pytest.mark.parametrize(
         "dimension, density",
         [(2, 60.0), (2, 400.0), (3, 40.0), (4, 40.0), (4, 200.0), (5, 25.0), (6, 25.0),
@@ -475,6 +554,69 @@ class TestEstimateBox:
             assert np.array_equal(near, below[between < layers]), (case, d, n, layers)
             assert np.array_equal(counts, between[between < layers]), (case, d, n, layers)
         assert (intransitive > 0) == lattice
+
+    @pytest.mark.parametrize("dimension, density", [(2, 2000.0), (3, 1000.0), (4, 1000.0)])
+    def test_near_past_over_several_survivor_blocks(self, dimension, density, monkeypatch):
+        # the near set grows after the first filter, block after block of
+        # survivors; a row is counted only while it precedes fewer than
+        # `layers` of the near points found before its block
+        layers = dimension // 2 + 2
+        cases = []
+        for seed in range(2):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            coords = sprinkling._sample_coords(DiamondConfig(dimension, density, 1.0, seed), rng)
+            cases.append((seed, coords, causal_matrix(coords)))
+        scans = record_scans(monkeypatch)
+        growing = 0
+        for seed, coords, order in cases:
+            below, between = causet._past(SimpleNamespace(precedes=order), len(coords) - 1)
+            near, counts = sprinkling._near_past(coords, layers)
+            assert np.array_equal(near, below[between < layers]), seed
+            assert np.array_equal(counts, between[between < layers]), seed
+            found = np.zeros(len(coords), dtype=bool)
+            for rows, cols in scans[-1].calls:
+                # a count takes every predecessor from its block's first row on
+                if np.array_equal(cols, below[np.searchsorted(below, rows[0]) :]):
+                    assert (order[np.ix_(rows, found)].sum(axis=1) < layers).all(), seed
+                    growing += found.any() and np.isin(rows, near).any()
+                    found[rows[np.isin(rows, near)]] = True
+        assert growing >= {2: 2, 3: 2, 4: 10}[dimension]
+
+    def test_near_past_on_lattices_over_several_blocks(self):
+        # more than three blocks of the tip's past on a lattice, whose
+        # lightlike pairs can leave the float order intransitive
+        rng = np.random.default_rng(11)
+        intransitive = 0
+        for case in range(24):
+            d, layers = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+            step = (0.1, 0.3, 1 / 3, 0.7)[case % 4]
+            coords = rng.integers(-6, 7, size=(int(rng.integers(200, 600)), d)) * step
+            tip = np.zeros((1, d))
+            tip[0, 0] = (6 + math.ceil(6 * math.sqrt(d - 1)) - case % 3) * step
+            coords = np.concatenate([coords[np.lexsort(coords.T[::-1])], tip])
+            order = causal_matrix(coords)
+            closure = order.astype(np.float32) @ order.astype(np.float32) > 0
+            intransitive += bool((closure & ~order).any())
+            below, between = causet._past(SimpleNamespace(precedes=order), len(coords) - 1)
+            assert below.size > 3 * sprinkling._ORDER_BLOCK_ROWS, case
+            near, counts = sprinkling._near_past(coords, layers)
+            assert np.array_equal(near, below[between < layers]), (case, d, layers)
+            assert np.array_equal(counts, between[between < layers]), (case, d, layers)
+        assert intransitive > 0
+
+    @pytest.mark.parametrize("dimension, density", [(2, 100.0), (4, 1000.0)])
+    def test_scan_calls_are_few_non_empty_and_one_block_at_most(self, dimension, density, monkeypatch):
+        # (2, 100) is the benchmark's trial: the tip's column, the latest
+        # block, one filter and one block of survivors
+        scans = record_scans(monkeypatch)
+        estimate_box(DiamondConfig(dimension, density, 1.0, 1), MonomialField((2,)), 20)
+        assert len(scans) == 20
+        for scan in scans:
+            if dimension == 2:
+                assert len(scan.calls) <= 4
+            for rows, cols in scan.calls:
+                assert rows.size and cols.size
+                assert rows.size * cols.size <= sprinkling._ORDER_BLOCK_ROWS * scan.size
 
     @pytest.mark.parametrize(
         "config, spec, trials, expected",
