@@ -22,9 +22,8 @@ memory budget admits.  The pass sweeps the blocks from last to first,
 updating each in place, until a sweep adds nothing; that sweep gives the
 interval histogram (entry ``k`` counts the related pairs with ``k``
 elements strictly between them).  A block multiplies only the columns
-its rows and their successors reach.  Validation is one sweep that counts
-nothing; :func:`from_relations` hands its histogram to the causal set, or
-the first :func:`interval_abundances` read takes one sweep and keeps it.
+its rows and their successors reach.  A causal set takes its histogram
+once, when it is built, from the pass that closed it or validated it.
 The pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and
 the products of one block of at most ``_BLOCK_ROWS`` rows with their
 temporaries; counted with the caller's matrix, a size whose peak would
@@ -81,16 +80,15 @@ class CausalSet:
     ``precedes`` is an ``N x N`` boolean matrix that must be
     irreflexive, antisymmetric, and transitively closed; ``coords``
     (when present) holds one row of spacetime coordinates per element,
-    time first.  Building one runs one sweep of the interval pass, which
-    must add nothing; the interval histogram is taken on the first read
-    of :func:`interval_abundances` and kept.
+    time first.  Building one from a matrix runs the interval pass on a
+    copy, which must add nothing, and keeps its histogram.
     Equality and hashing are by identity: arrays have no single truth
     value to compare by.
     """
 
     precedes: np.ndarray
     coords: np.ndarray | None = None
-    _histogram: np.ndarray | None = dataclass_field(init=False, repr=False)
+    _histogram: np.ndarray = dataclass_field(init=False, repr=False)
     # the histogram of a pass that added nothing, handed over by from_relations
     _closed_histogram: InitVar[np.ndarray | None] = None
 
@@ -108,10 +106,11 @@ class CausalSet:
                 raise ValueError("coords must have one row per element")
             coords.setflags(write=False)
             object.__setattr__(self, "coords", coords)
-        if _closed_histogram is not None:
-            _closed_histogram.setflags(write=False)
-        elif _interval_pass(matrix, close=False)[0]:
-            raise ValueError("relation must be transitively closed")
+        if _closed_histogram is None:
+            grown, _closed_histogram = _interval_pass(matrix)
+            if grown:
+                raise ValueError("relation must be transitively closed")
+        _closed_histogram.setflags(write=False)
         matrix.setflags(write=False)
         object.__setattr__(self, "precedes", matrix)
         object.__setattr__(self, "_histogram", _closed_histogram)
@@ -144,9 +143,9 @@ def _check_pass_budget(n_elements: int) -> None:
     bytes (the caller's matrix, the validated copy and its float32
     operand) and one block of at most ``_BLOCK_ROWS`` rows with its
     temporaries, at most 16 bytes per block entry (the float32 products,
-    the related entries as float32 and as int64).  A closure in
-    :func:`from_relations` holds no more: a growing block's products (4
-    bytes per entry) and its ``b x b`` squares with their two masks (10 more).
+    the related entries as float32 and as int64).  A closure holds no
+    more: a growing block's products (4 bytes per entry) and its ``b x b``
+    squares with their two masks (10 more).
     """
     n = int(n_elements)  # a Python int: a numpy count could wrap in the product
     if 6 * n * n + 16 * min(n, _BLOCK_ROWS) * n > MAX_ARRAY_BYTES:
@@ -156,39 +155,38 @@ def _check_pass_budget(n_elements: int) -> None:
         )
 
 
-def _interval_pass(order: np.ndarray, close: bool = True) -> tuple[bool, np.ndarray | None]:
+def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
     """Close the bool matrix ``order`` in place by sweeps of ``B = P @ P``.
 
     Returns whether it added a pair, and the histogram of ``B`` over the
     related pairs of the closed order: entry ``k`` counts the pairs
-    ``a < b`` with ``k`` elements strictly between them.  With
-    ``close=False`` it stops at the first pair it adds, with no histogram;
-    a closed order is not written.  Blocks hold a quarter of the rows, or
-    ``2**16`` products if more (one block up to N = 256, which multiplies
-    every column), and at most ``_BLOCK_ROWS`` rows.
+    ``a < b`` with ``k`` elements strictly between them.  A closed order
+    takes one sweep and is not written.  Blocks hold a quarter of the
+    rows, or ``2**16`` products if more (one block up to N = 256, which
+    multiplies every column), and at most ``_BLOCK_ROWS`` rows.
     """
     _check_pass_budget(len(order))
     related, operand = np.count_nonzero(order), order.astype(np.float32)
     size = min(_BLOCK_ROWS, max(2**16 // max(len(order), 1), -(-len(order) // 4)))
     first = _first_columns(order) if size < len(order) else None
-    histogram = np.zeros(len(order) + 1, dtype=np.int64) if close else None  # a cycle can reach N
-    while _sweep(order, operand, size, first, histogram) and close:
+    histogram = np.zeros(len(order) + 1, dtype=np.int64)  # a cycle can reach N
+    while _sweep(order, operand, size, first, histogram):
         histogram[:] = 0
     return np.count_nonzero(order) > related, histogram
 
 
 def _sweep(order: np.ndarray, operand: np.ndarray, size: int, first: np.ndarray | None,
-           histogram: np.ndarray | None) -> bool:
+           histogram: np.ndarray) -> bool:
     """One sweep over blocks of ``size`` rows; whether it left the order open.
 
     The blocks run from last to first, each multiplying its rows by the
     ``operand`` that holds the rows updated so far, over the columns its
     rows and their successors reach (:func:`_reach`; ``first`` follows the
-    rows).  A sweep that adds nothing adds its products to ``histogram``;
-    with none it returns at the first pair it adds.  A block that grows
-    closes itself if it is the whole order or relates its elements only
-    to later ones: it squares its ``b x b`` part until nothing changes,
-    then adds that part times its rows.  Any other block takes one step.
+    rows).  A sweep that adds nothing adds its products to ``histogram``.
+    A block that grows closes itself if it is the whole order or relates
+    its elements only to later ones: it squares its ``b x b`` part until
+    nothing changes, then adds that part times its rows.  Any other block
+    takes one step.
     """
     grown = False
     for start in reversed(range(0, len(order), size)):
@@ -197,12 +195,10 @@ def _sweep(order: np.ndarray, operand: np.ndarray, size: int, first: np.ndarray 
         span = slice(None) if first is None else _reach(first, block)  # rows relate none before
         between = operand[block, span] @ operand[span, span]
         if not _extend(rows[:, span], between):
-            if histogram is not None and not grown:  # void once a block has grown
+            if not grown:  # void once a block has grown
                 between = between[rows[:, span]].astype(np.int64)  # the counts replace the products
                 histogram += np.bincount(between, minlength=len(histogram))
             continue
-        if histogram is None:
-            return True
         grown, inner = True, rows[:, block]  # a view
         if first is not None:
             first[block] = _first_columns(rows)
@@ -408,14 +404,8 @@ def _box(constants: coefficients.OperatorConstants, length: float, value: float,
 
 def interval_abundances(causal_set: CausalSet, max_i: int) -> tuple[int, ...]:
     """``N_1 .. N_max_i`` where ``N_i`` counts related pairs with
-    closed-interval size ``i + 1``, read off the interval histogram: the
-    one :func:`from_relations` handed over, or one sweep on the first
-    read of a validated set, kept for later reads."""
+    closed-interval size ``i + 1``, read off the causal set's histogram."""
     max_i = _check_int(max_i, "max_i", 1)
-    if causal_set._histogram is None:  # validated, not yet read: one sweep, kept
-        histogram = _interval_pass(causal_set.precedes)[1]  # closed: nothing is written
-        histogram.setflags(write=False)
-        object.__setattr__(causal_set, "_histogram", histogram)
     counts = causal_set._histogram[:max_i].tolist()  # N_i counts between == i - 1
     return tuple(counts + [0] * (max_i - len(counts)))
 

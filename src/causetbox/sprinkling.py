@@ -5,9 +5,10 @@ Alexandrov diamond between the tips ``(-T, 0)`` and ``(T, 0)`` in
 d-dimensional Minkowski space, adds the top tip as a deterministic
 evaluation element, and induces the causal order (``a < b`` when the
 time separation is at least the spatial separation; lightlike-related
-points count as related).  Minkowski causality is transitive, so the
-induced relation is a valid strict order by construction — it is still
-validated on every build.
+points count as related).  Minkowski causality is transitive, but the
+order is computed in floats, and rounding can leave some pairs
+intransitive (on lattice points, say), so a sprinkle's order is validated
+when its causal set is built.
 
 Randomness is counter-based: a sprinkle is a pure function of its
 config (including the seed), and :func:`estimate_box` derives one
@@ -19,7 +20,7 @@ operator reads the field, and evaluates the field there only.  The scan
 counts a predecessor only if the near points found so far leave it
 possibly near, a few array calls in all.  Both budgets charge what a
 request does: a trial its scan, a sprinkle its order, and each the points
-rejection sampling draws.
+rejection sampling draws; a drawn count is charged its own draws too.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ _DRAW_STEPS = 4800
 #: (6.2 ns at d = 10 and N = 20,000; 1.3-3.2 ns below d = 9).
 _SCAN_STEPS = 320
 
-#: Rows of the order built at once by :func:`causal_matrix`.  A block of a
-#: few hundred KB is reused from the heap trial after trial, where whole
-#: ``N x N`` float64 temporaries were mapped in and returned on every call.
+#: Rows of one block of :func:`_precedes` entries: the order of
+#: :func:`causal_matrix` is built, and a trial's near set scanned
+#: (:func:`_near_past`), this many rows at a time, so the float64
+#: temporaries span one block, not all ``N x N`` pairs.
 _ORDER_BLOCK_ROWS = 64
 
 
@@ -218,11 +220,28 @@ def _sample_diamond(
     return np.concatenate(accepted, axis=0)
 
 
+def _draws(dimension: int, points: float) -> float:
+    """The values rejection sampling is expected to draw for ``points``
+    diamond points: ``d`` per point of the bounding box, which holds
+    ``2^d / diamond_volume(d, 1)`` points per point of the diamond."""
+    # no points draw nothing, even where the box-to-diamond ratio overflows
+    return points * 2.0**dimension / diamond_volume(dimension, 1.0) * dimension
+
+
 def _sample_coords(config: DiamondConfig, rng: np.random.Generator) -> np.ndarray:
     """A Poisson count of diamond points in canonical time-then-space order,
-    then the top tip as the last row."""
+    then the top tip as the last row.  A count whose own expected draws
+    exceed ``MAX_SPRINKLE_STEPS`` raises
+    :class:`~causetbox.coefficients.FeasibilityError` before any is drawn."""
     volume = diamond_volume(config.dimension, config.half_height)
     count = int(rng.poisson(config.density * volume))
+    # the budget charged the mean count; a rarer, larger one can need far more
+    steps = _DRAW_STEPS * _draws(config.dimension, count)
+    if not steps <= MAX_SPRINKLE_STEPS:
+        raise FeasibilityError(
+            f"sprinkle too long: a trial's Poisson count {count} takes about {steps:.3g} "
+            f"steps of rejection sampling (guard: <= {MAX_SPRINKLE_STEPS:.0e} steps)"
+        )
     points = _sample_diamond(rng, config.dimension, config.half_height, count)
     points = points[np.lexsort(points.T[::-1])]
     tip = np.zeros((1, config.dimension))
@@ -316,8 +335,8 @@ def _check_budget(config: DiamondConfig, trials: int, *, order: bool = True) -> 
     Work, checked after memory, in steps of about 25 ps, the cost of one
     float32 product of the interval pass.  Each trial is charged
     ``_TRIAL_STEPS`` for its fixed cost and ``_DRAW_STEPS`` per value drawn
-    by rejection sampling: ``d`` per point of the bounding box, which holds
-    ``2^d / diamond_volume(d, 1)`` points per point of the diamond.  A
+    by rejection sampling (:func:`_draws`) for the expected count; each
+    drawn count is charged its own draws again in :func:`_sample_coords`.  A
     sprinkle adds ``(d + 1) N^2`` steps for the order matrix and ``N^3``
     for the interval pass that validates it.  A trial adds ``_SCAN_STEPS``
     per value of its scan's worst case, ``(d + 1) N^2``: up to ``N^2 / 2``
@@ -328,8 +347,7 @@ def _check_budget(config: DiamondConfig, trials: int, *, order: bool = True) -> 
     elements = config.density * diamond_volume(d, config.half_height)
     points = elements + 1
     pairs = points * points  # a float product: inf, never OverflowError
-    # no points draw nothing, even where the box-to-diamond ratio overflows
-    draws = elements * 2.0**d / diamond_volume(d, 1.0) * d
+    draws = _draws(d, elements)
     if order:
         held, work = 8 * (d + 1) * pairs, (d + 1 + points) * pairs
     else:

@@ -84,7 +84,7 @@ def reference_interval_pass(order):
     return grew, histogram
 
 
-def reference_closing_pass(order, close=True):
+def reference_closing_pass(order):
     """Jacobi passes until one adds nothing, as ``from_relations`` ran them;
     the result has the interval pass's ``(grew, histogram)`` form."""
     grew, (added, histogram) = False, reference_interval_pass(order)
@@ -223,25 +223,25 @@ class TestBlockedIntervalPass:
                     built, max_i
                 )
 
-    def test_one_pass_per_build_and_per_first_read_of_a_validated_set(self, monkeypatch):
+    def test_one_pass_per_build_and_none_per_read(self, monkeypatch):
         calls = []
         interval_pass = causet._interval_pass
         pairs = np.argwhere(diamond().precedes)  # closed: every related pair
 
-        def counted(order, close=True):
-            calls.append(close)
-            return interval_pass(order, close)
+        def counted(order):
+            calls.append(order.shape)
+            return interval_pass(order)
 
         monkeypatch.setattr(causet, "_interval_pass", counted)
         full = from_relations(4, pairs)
-        assert calls == [True]
+        assert calls == [(4, 4)]
         validated = CausalSet(full.precedes)
-        assert calls == [True, False]  # validation: one pass, no histogram
-        for built, passes in ((full, [True, False]), (validated, [True, False, True])):
-            for _ in range(2):  # a validated set's first read takes a pass, later ones none
+        assert calls == [(4, 4)] * 2  # validation: one pass, which takes the histogram
+        for built in (full, validated):
+            for _ in range(2):  # every read is a lookup
                 assert interval_abundances(built, 3) == (4, 0, 1)
                 assert gravitational_action(built, 2, 1.0).abundances == (4, 0, 1)
-                assert calls == passes
+                assert calls == [(4, 4)] * 2
 
     def test_bad_coords_are_refused_before_the_pass(self, monkeypatch):
         calls = []
@@ -263,11 +263,12 @@ class TestBlockedIntervalPass:
         chain_links = [(k, k + 1) for k in range(n - 1)]
         tracemalloc.start()
         try:
-            validated = CausalSet(order)
+            validated = CausalSet(order)  # the pass and its histogram
             peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            interval_abundances(validated, 1)  # sweeps the kept order, writing nothing
-            read_peak = tracemalloc.get_traced_memory()[1]
+            interval_abundances(validated, 1)  # a lookup
+            read_peak = tracemalloc.get_traced_memory()[1] - held
             del validated
             tracemalloc.reset_peak()
             grown = from_relations(n, chain_links)
@@ -275,7 +276,8 @@ class TestBlockedIntervalPass:
         finally:
             tracemalloc.stop()
         assert (grown.precedes == order).all()
-        assert n * n + max(peak, read_peak) <= causet.MAX_ARRAY_BYTES
+        assert n * n + peak <= causet.MAX_ARRAY_BYTES
+        assert read_peak < n * n  # no N x N array
         assert grown_peak <= causet.MAX_ARRAY_BYTES
         with pytest.raises(FeasibilityError, match="301 elements"):
             from_relations(n + 1, [])
@@ -335,7 +337,6 @@ class TestSweepMatchesJacobiPasses:
         validated = CausalSet(closed)
         assert (built.precedes == closed).all()
         for causal_set in (built, validated):
-            interval_abundances(causal_set, 1)  # a validated set takes its histogram here
             assert causal_set._histogram.tolist() == histogram
         if (links != closed).any():
             with pytest.raises(ValueError, match="transitively closed"):
@@ -374,9 +375,9 @@ class TestSweepMatchesJacobiPasses:
             sizes.append(args[2])
             return sweep(*args)
 
-        def counted_pass(order, close=True):
+        def counted_pass(order):
             passes.append(order.shape)
-            return interval_pass(order, close)
+            return interval_pass(order)
 
         monkeypatch.setattr(causet, "_sweep", counted_sweep)
         monkeypatch.setattr(causet, "_interval_pass", counted_pass)
@@ -414,15 +415,20 @@ class TestSweepMatchesJacobiPasses:
         from_relations(n, pairs)  # a block that squared itself would take more products
         assert len(products) == 3 * len(sweeps) <= 3 * reference_pass_count(n, pairs)
 
-    def test_validation_stops_at_the_first_pair_it_would_add(self, products):
-        n = 400
+    @pytest.mark.parametrize("kind", ["unclosed", "cyclic"])
+    @pytest.mark.parametrize("n", [5, 400])  # one block, and three
+    def test_validation_refuses_a_pair_it_would_add(self, kind, n):
+        # validation closes a private copy: the caller's matrix is left as given
         order = np.triu(np.ones((n, n), dtype=bool), 1)
-        order[0, n - 1] = False  # implied through 1, in the block swept last
-        with pytest.raises(ValueError, match="transitively closed"):
+        if kind == "unclosed":
+            order[0, n - 1] = False  # implied through 1
+        else:  # the links of a chain and one back-edge: no a < a, no a < b < a
+            order = np.eye(n, k=1, dtype=bool)
+            order[n - 1, 0] = True
+        given = order.copy()
+        with pytest.raises(ValueError, match="^relation must be transitively closed$"):
             CausalSet(order)
-        # blocks of 163 rows from last to first, each over the columns after its first row
-        assert [rows for rows, _ in products] == [74, 163, 163]
-        assert [columns for _, columns in products] == [n - 1 - s for s in (326, 163, 0)]
+        assert order.tobytes() == given.tobytes() and order.flags.writeable
 
 
 class TestConstruction:

@@ -646,6 +646,20 @@ class TestSprinkle:
         assert_one_error_line(errors)
         assert "sprinkle too long: about 9." in errors
 
+    def test_a_drawn_count_over_the_work_bound_exits_3_at_once(self):
+        # the request of test_high_dimension_ratio_check_is_relative expects
+        # 0.0015 points, but seed 312's trial draws one, which about
+        # 2 * 10^11 points of the bounding box would take days to find
+        start = time.perf_counter()
+        code, text, errors = invoke_with_errors(
+            ["sprinkle", "--dim", "25", "--density", "10", "--trials", "1", "--seed", "312"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "sprinkle too long: a trial's Poisson count 1 takes about" in errors
+
     def test_dense_estimate_is_charged_its_scan_not_an_order(self):
         # N about 2 * 10^4: the whole order would need about 9.6 GB
         code, text = invoke(

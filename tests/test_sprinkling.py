@@ -486,6 +486,47 @@ class TestEstimateBox:
         with pytest.raises(FeasibilityError, match="sprinkle too long: about 9.152 elements"):
             estimate_box(config, ConstantField(1.0), 1)
 
+    @pytest.mark.parametrize("dimension", [14, 25, 340])
+    def test_a_drawn_count_is_charged_its_own_draws(self, dimension, monkeypatch):
+        # the most points whose draws fit the work bound: about 11,800 at
+        # d = 14, none at d = 25 (one draws about 5 * 10^12 values) or where
+        # the box-to-diamond ratio overflows (d = 340)
+        sampled = []
+
+        def sample(rng, d, half_height, count):
+            sampled.append(count)
+            return np.zeros((count, d))
+
+        def steps(count):
+            return sprinkling._DRAW_STEPS * sprinkling._draws(dimension, count)
+
+        bound = sprinkling.MAX_SPRINKLE_STEPS
+        most = int(bound / steps(1))
+        most += steps(most + 1) <= bound
+        most -= steps(most) > bound
+        assert steps(0) == 0 and steps(most) <= bound < steps(most + 1)
+        monkeypatch.setattr(sprinkling, "_sample_diamond", sample)
+        config = DiamondConfig(dimension, 1.0, 1.0, 0)
+        for count in (0, most):
+            rng = SimpleNamespace(poisson=lambda mean, count=count: count)
+            assert len(sprinkling._sample_coords(config, rng)) == count + 1
+        rng = SimpleNamespace(poisson=lambda mean: most + 1)
+        with pytest.raises(FeasibilityError, match=f"Poisson count {most + 1} takes about"):
+            sprinkling._sample_coords(config, rng)
+        assert sampled == [0, most]
+
+    def test_a_drawn_count_is_refused_before_sampling(self, monkeypatch):
+        # d = 25, density 10 expects 0.0015 points and fits the work bound,
+        # but seed 1874's sprinkle and seed 312's first trial draw one point
+        def refuse(*args):
+            raise AssertionError("sampled points for an over-budget count")
+
+        monkeypatch.setattr(sprinkling, "_sample_diamond", refuse)
+        with pytest.raises(FeasibilityError, match="Poisson count 1 takes about 2.61e"):
+            sprinkle(DiamondConfig(25, 10.0, 1.0, 1874))
+        with pytest.raises(FeasibilityError, match="Poisson count 1 takes about 2.61e"):
+            estimate_box(DiamondConfig(25, 10.0, 1.0, 312), ConstantField(1.0), 1)
+
     @pytest.mark.parametrize("dimension, density", [(2, 2000.0), (4, 1000.0), (9, 300.0)])
     def test_a_trial_peaks_within_its_byte_charge(self, dimension, density):
         config = DiamondConfig(dimension, density, 1.0, 1)
