@@ -21,15 +21,16 @@ of 0/1 products is exact below 2**24, far above any element count the
 memory budget admits.  The pass sweeps the blocks from last to first,
 updating each in place, until a sweep adds nothing; that sweep gives the
 interval histogram (entry ``k`` counts the related pairs with ``k``
-elements strictly between them).  A block multiplies only the columns
-its rows and their successors reach.  A causal set takes its histogram
-once, when it is built, from the pass that closed it or validated it.
-The pass holds the ``N x N`` bool order, one ``N x N`` float32 copy and
-the products of one block of at most ``_BLOCK_ROWS`` rows with their
-temporaries; counted with the caller's matrix, a size whose peak would
-exceed ``MAX_ARRAY_BYTES`` raises
-:class:`~causetbox.coefficients.FeasibilityError` before the pass
-allocates (before anything is, in :func:`from_relations`).
+elements strictly between them).  On a *forward* order, every row related
+only to later ones as time-ordered labels give, a block multiplies only
+the columns from its rows' first related one and closes itself when it
+grows.  A causal set takes its histogram once, when it is built, from the
+pass that closed it or validated it.  The pass holds the ``N x N`` bool
+order, one ``N x N`` float32 copy and the products of one block of at
+most ``_BLOCK_ROWS`` rows with their temporaries; counted with the
+caller's matrix, a size whose peak would exceed ``MAX_ARRAY_BYTES``
+raises :class:`~causetbox.coefficients.FeasibilityError` before anything
+is allocated, in :func:`from_relations` and :class:`CausalSet` alike.
 
 A layer below ``x`` reads only the column ``P[below] @ P[:, x]``, in the
 same float32 row blocks; an element index must be an int in ``0..N-1``.
@@ -93,6 +94,11 @@ class CausalSet:
     _closed_histogram: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _closed_histogram: np.ndarray | None) -> None:
+        if _closed_histogram is None:  # from_relations checks before it allocates
+            try:  # before the copy: an order over the budget allocates nothing
+                _check_pass_budget(len(self.precedes))
+            except TypeError:  # unsized: refused below as not square
+                pass
         matrix = np.array(self.precedes, dtype=bool)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("relation matrix must be square")
@@ -163,12 +169,15 @@ def _interval_pass(order: np.ndarray) -> tuple[bool, np.ndarray]:
     ``a < b`` with ``k`` elements strictly between them.  A closed order
     takes one sweep and is not written.  Blocks hold a quarter of the
     rows, or ``2**16`` products if more (one block up to N = 256, which
-    multiplies every column), and at most ``_BLOCK_ROWS`` rows.
+    multiplies every column), and at most ``_BLOCK_ROWS`` rows.  Several
+    blocks keep each row's first related column if the order is forward,
+    every row's lying after the row; closing never lowers them.
     """
-    _check_pass_budget(len(order))
     related, operand = np.count_nonzero(order), order.astype(np.float32)
     size = min(_BLOCK_ROWS, max(2**16 // max(len(order), 1), -(-len(order) // 4)))
     first = _first_columns(order) if size < len(order) else None
+    if first is not None and (first <= np.arange(len(order))).any():
+        first = None  # not forward: whole rows
     histogram = np.zeros(len(order) + 1, dtype=np.int64)  # a cycle can reach N
     while _sweep(order, operand, size, first, histogram):
         histogram[:] = 0
@@ -180,30 +189,28 @@ def _sweep(order: np.ndarray, operand: np.ndarray, size: int, first: np.ndarray 
     """One sweep over blocks of ``size`` rows; whether it left the order open.
 
     The blocks run from last to first, each multiplying its rows by the
-    ``operand`` that holds the rows updated so far, over the columns its
-    rows and their successors reach (:func:`_reach`; ``first`` follows the
-    rows).  A sweep that adds nothing adds its products to ``histogram``.
-    A block that grows closes itself if it is the whole order or relates
-    its elements only to later ones: it squares its ``b x b`` part until
-    nothing changes, then adds that part times its rows.  Any other block
-    takes one step.
+    ``operand`` that holds the rows updated so far: on a forward order
+    (``first`` given) from the least ``first`` of its rows, before which
+    neither they nor their successors relate, else over whole rows.  A
+    sweep that adds nothing adds its products to ``histogram``.  A block
+    that grows closes itself if it is the whole order or the order is
+    forward: it squares its ``b x b`` part until nothing changes, then
+    adds that part times its rows.  Any other block takes one step.
     """
     grown = False
     for start in reversed(range(0, len(order), size)):
         block = slice(start, start + size)
         rows = order[block]  # a view: the updates write through
-        span = slice(None) if first is None else _reach(first, block)  # rows relate none before
+        span = slice(None if first is None else first[block].min(), None)
         between = operand[block, span] @ operand[span, span]
         if not _extend(rows[:, span], between):
             if not grown:  # void once a block has grown
                 between = between[rows[:, span]].astype(np.int64)  # the counts replace the products
                 histogram += np.bincount(between, minlength=len(histogram))
             continue
-        grown, inner = True, rows[:, block]  # a view
-        if first is not None:
-            first[block] = _first_columns(rows)
-        # one block, or each row relates only later elements
-        if first is None or (first[block] > np.arange(start, start + len(rows))).all():
+        grown = True
+        if first is not None or len(rows) == len(order):  # forward, or one block
+            inner = rows[:, block]  # a view
             square = inner.astype(np.float32)
             while _extend(inner, between := square @ square):
                 square = inner.astype(np.float32)
@@ -212,7 +219,6 @@ def _sweep(order: np.ndarray, operand: np.ndarray, size: int, first: np.ndarray 
                 histogram[:] = np.bincount(between[rows].astype(np.int64), minlength=len(histogram))
                 return False
             operand[block] = rows
-            span = slice(first[block].min(), None)  # these steps leave ``first`` as it is
             _extend(rows[:, span], operand[block, block] @ operand[block, span])
         operand[block] = rows
     return grown
@@ -223,13 +229,6 @@ def _first_columns(rows: np.ndarray) -> np.ndarray:
     first = rows.argmax(axis=1)
     first[~rows[np.arange(len(rows)), first]] = rows.shape[1]
     return first
-
-
-def _reach(first: np.ndarray, block: slice) -> slice:
-    """The columns the rows ``block`` and their successors relate, in O(N): from the least
-    ``first`` column of the rows or of the successors, which lie from the rows' on."""
-    low = first[block].min()
-    return slice(first[low:].min(initial=low), None)
 
 
 def _extend(rows: np.ndarray, products: np.ndarray) -> bool:

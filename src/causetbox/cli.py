@@ -157,6 +157,13 @@ def _cmd_strings(args: argparse.Namespace) -> _Answer:
     else:
         count = evenstrings.count_constrained_strings(args.dim, args.i)
     paths = evenstrings.count_constrained_paths(args.dim, args.i)
+    try:  # the interpreter's integer string limit may refuse to print it
+        str(max(count, paths))
+    except ValueError:
+        raise coefficients.FeasibilityError(
+            f"string count too large to print for d={args.dim}, i={args.i} (guard: <= "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's integer string limit)"
+        ) from None
     payload = {
         "dimension": args.dim,
         "index": args.i,

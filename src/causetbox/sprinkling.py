@@ -320,13 +320,17 @@ def _check_budget(config: DiamondConfig, trials: int, *, order: bool = True) -> 
     order; without, for an :func:`estimate_box` trial, which scans for the
     tip's near set (:func:`_near_past`).
 
-    Memory.  A sprinkle's peak is in :func:`causal_matrix`: the bool order,
-    one byte per ordered pair, plus the temporaries of one block of
+    Memory.  A sprinkle's peak is in validating its order
+    (:class:`~causetbox.causet.CausalSet`), at ``6 N^2 + 16 min(N, 512) N``
+    bytes, at most ``22 N^2``, except below 83 elements at d = 2 (551 at
+    d = 20), where :func:`causal_matrix` holds more: the bool order, one
+    byte per ordered pair, plus the temporaries of one block of
     ``_ORDER_BLOCK_ROWS`` rows, at most ``d + 1`` float64 values and three
     bools per pair of the block.  It is charged ``d + 1`` float64 values
-    per pair, which covers both once N exceeds two blocks (N > 128); a
-    smaller sprinkle can hold up to twice its charge, but under 3 MB for
-    d <= 20.  A trial is charged its coordinates, ``d`` float64 values per
+    per pair, at least ``24 N^2``, which covers validation at every d and
+    the order matrix once N exceeds two blocks (N > 128); a smaller
+    sprinkle can hold up to twice its charge, but under 3 MB for d <= 20.
+    A trial is charged its coordinates, ``d`` float64 values per
     point, plus one block of ``_ORDER_BLOCK_ROWS x N`` entries at ``d + 2``
     float64 values each: no ``_precedes`` call of the scan holds more, and
     the sampling batches hold less.  Each request adds one float64 per

@@ -282,6 +282,21 @@ class TestBlockedIntervalPass:
         with pytest.raises(FeasibilityError, match="301 elements"):
             from_relations(n + 1, [])
 
+    def test_an_order_over_the_budget_is_refused_before_its_copy(self, monkeypatch):
+        n = 1000
+        monkeypatch.setattr(
+            causet, "MAX_ARRAY_BYTES", 6 * n * n + 16 * causet._BLOCK_ROWS * n - 1
+        )
+        order = np.triu(np.ones((n, n), dtype=bool), 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match="1000 elements"):
+                CausalSet(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # neither a copy nor ``order & order.T``
+
     def test_budget_admits_18248_elements(self):
         causet._check_pass_budget(18_248)
         with pytest.raises(FeasibilityError, match="18249 elements"):
@@ -294,17 +309,25 @@ class TestBlockedIntervalPass:
 
 @st.composite
 def generating_sets(draw):
-    """A random relation on up to 40 elements: an upper-triangular draw
-    under a random relabelling, with or without one back-edge."""
+    """A random relation on up to 40 elements: an upper-triangular draw,
+    kept as drawn (a forward order) or with one backward pair (a cycle if
+    its ends are related), or under a random relabelling, with or without
+    one back-edge."""
     n = draw(st.integers(min_value=1, max_value=40))
     density = draw(st.sampled_from([0.02, 0.08, 0.3, 0.9]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     relabel = rng.permutation(n)
-    generated = np.triu(rng.random((n, n)) < density, 1)[np.ix_(relabel, relabel)]
-    related = np.argwhere(reference_closure(generated))
-    if len(related) and draw(st.booleans()):  # a back-edge closes a cycle
-        a, b = related[draw(st.integers(min_value=0, max_value=len(related) - 1))]
-        generated[b, a] = True
+    generated = np.triu(rng.random((n, n)) < density, 1)
+    labels = draw(st.sampled_from(["forward", "one backward pair", "relabelled"]))
+    if labels == "one backward pair" and n > 1:
+        low, high = sorted(rng.choice(n, size=2, replace=False))
+        generated[high, low] = True
+    if labels == "relabelled":
+        generated = generated[np.ix_(relabel, relabel)]
+        related = np.argwhere(reference_closure(generated))
+        if len(related) and draw(st.booleans()):  # a back-edge closes a cycle
+            a, b = related[draw(st.integers(min_value=0, max_value=len(related) - 1))]
+            generated[b, a] = True
     return generated
 
 
@@ -343,7 +366,7 @@ class TestSweepMatchesJacobiPasses:
                 CausalSet(links)
 
     @given(generating_sets(), st.sampled_from([3, 7, 16, 512]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=240, deadline=None)
     def test_same_outcome_as_the_reference_passes(self, generated, block):
         n = generated.shape[0]
         pairs = np.argwhere(generated).tolist()
@@ -414,6 +437,44 @@ class TestSweepMatchesJacobiPasses:
         monkeypatch.setattr(causet, "_sweep", counted_sweep)
         from_relations(n, pairs)  # a block that squared itself would take more products
         assert len(products) == 3 * len(sweeps) <= 3 * reference_pass_count(n, pairs)
+
+    @pytest.mark.parametrize("labels", ["time order", "relabelled", "one pair swapped"])
+    def test_a_forward_order_alone_starts_its_products_at_its_first_columns(
+        self, labels, monkeypatch
+    ):
+        n, products, scans = 400, [], []  # three blocks
+        relabel = {
+            "time order": np.arange(n),
+            "relabelled": np.random.default_rng(5).permutation(n),
+            "one pair swapped": np.r_[0, 2, 1, 3:n],  # 1 < 2 becomes 2 < 1
+        }[labels]
+        generated = np.eye(n, k=1, dtype=bool)[np.ix_(relabel, relabel)]  # a chain's links
+        first = np.array([np.flatnonzero(row)[0] if row.any() else n for row in generated])
+        order, extend, first_columns = generated.copy(), causet._extend, causet._first_columns
+
+        def counted(rows, between):  # where the rows view starts in the order
+            offset = rows.__array_interface__["data"][0] - order.__array_interface__["data"][0]
+            products.append((*divmod(offset, n), *rows.shape, between.shape))
+            return extend(rows, between)
+
+        def scanned(rows):
+            scans.append(rows.shape)
+            return first_columns(rows)
+
+        monkeypatch.setattr(causet, "_extend", counted)
+        monkeypatch.setattr(causet, "_first_columns", scanned)
+        causet._interval_pass(order)
+        assert (order == reference_closure(generated)).all() and scans == [(n, n)]
+        if labels == "time order":  # each growing block squares itself
+            squares = [(row, height, width) for row, column, height, width, _ in products
+                       if column == row]
+            assert squares and all(width == height for _, height, width in squares)
+            for row, column, height, width, shape in products:
+                if column != row:
+                    assert column == first[row : row + height].min()
+                    assert width == shape[1] == n - column
+        else:  # whole rows, one step per block
+            assert {(column, width) for _, column, _, width, _ in products} == {(0, n)}
 
     @pytest.mark.parametrize("kind", ["unclosed", "cyclic"])
     @pytest.mark.parametrize("n", [5, 400])  # one block, and three

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 import warnings
 
@@ -351,6 +352,40 @@ class TestStrings:
         assert time.perf_counter() - start < 1
         assert code == EXIT_OK
         assert text == "d,i,string_count,path_count\n100000,1,1,1\n" + "1" * 50001 + "\n"
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_count_over_the_interpreters_digit_limit_exits_3(self, output_format):
+        # 640 is the least limit an interpreter takes; (1600, 3) has 663 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, text, errors = invoke_with_errors(
+                ["strings", "--dim", "1600", "--i", "3", "--format", output_format]
+            )
+            printed = invoke(["strings", "--dim", "1000", "--i", "2"])  # 300 digits
+            coeffs = invoke_with_errors(["coeffs", "--dim", "1000"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_INFEASIBLE
+        assert text == ""
+        assert_one_error_line(errors)
+        assert "d=1600, i=3 (guard: <= 640 digits" in errors
+        assert printed[0] == EXIT_OK
+        assert coeffs[:2] == (EXIT_INFEASIBLE, "")
+        assert coeffs[2] == (
+            "error: coefficient table too large to print: about 1870 digits for d=1000 "
+            "(guard: <= 640, the interpreter's integer string limit)\n"
+        )
+
+    @pytest.mark.parametrize("dim, code", [(2130, EXIT_OK), (2132, EXIT_INFEASIBLE)])
+    def test_the_digit_limit_refuses_only_a_longer_count(self, dim, code):
+        # i = 2 gives 640 digits at d = 2130 and 641 at d = 2132
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert invoke_with_errors(["strings", "--dim", str(dim), "--i", "2"])[0] == code
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_odd_dimension_rejected(self):
         code, _ = invoke(["strings", "--dim", "3", "--i", "1"])
